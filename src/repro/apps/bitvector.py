@@ -157,11 +157,6 @@ class PimBitVector:
         self.group = group
         self.handle = handle or self.space.pim_malloc(n_bits, group)
 
-    @property
-    def runtime(self):
-        """Backward-compatible alias for :attr:`space`."""
-        return self.space
-
     # -- construction -----------------------------------------------------
 
     @classmethod

@@ -38,10 +38,13 @@ Honesty rules, in the same spirit as the planner's serve pricing:
   (column planes, bitmap bins, the scratch-pool constants), and a
   replay is only served while that sum -- monotone, so sum equality is
   elementwise equality -- is unchanged (with the planner's write epoch
-  as the O(1) fast path).  Frees of any leaf drop the program via an
-  allocator free listener, and sub-result-cache *evictions* (byte
-  pressure) drop all pricing records, because the recorded serve
-  pricing assumed those entries stayed resident.
+  as the O(1) fast path).  The planner bumps versions on frees as well
+  as writes, so a freed leaf invalidates exactly like a written one;
+  the reset also unbinds the leaves, so the next record binds to
+  whatever frames the query reads then.  Sub-result-cache *evictions*
+  (byte pressure) drop all pricing records too, because the recorded
+  serve pricing assumed those entries stayed resident.  A new record
+  validates the program first, so it never re-blesses stale ones.
 
 Telemetry lands under ``plan.analytics.*``; per-compiler tallies are
 on :class:`AnalyticsStats` (surfaced in BENCH_arith.json).
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
 import numpy as np
 
@@ -278,8 +281,11 @@ class _Tape:
         else:
             rec.packed_bits = np.packbits(bits)
             rec.n_bits = int(bits.size)
-        if program.leaf_farr is None:
-            compiler._bind_leaves(program, self.leaves_fn())
+        if program.leaf_farr is None or not compiler._valid(program, None):
+            frames: List[int] = []
+            for handle in self.leaves_fn():
+                frames.extend(handle.frames)
+            program.leaf_farr = np.unique(np.asarray(frames, dtype=np.intp))
         program.records[self.entry] = rec
         program.records.move_to_end(self.entry)
         while len(program.records) > _MAX_RECORDS:
@@ -348,11 +354,9 @@ class AnalyticsCompiler:
         #: shape key -> AnalyticsProgram, bounded LRU (the same store
         #: the wave compiler uses for its programs)
         self.programs = ProgramCache(max_programs)
-        self._frame_index: Dict[int, Set[tuple]] = {}
         self._token = 0
         if self.enabled:
             self.executor = runtime.system.executor
-            runtime.allocator.add_free_listener(self._on_free)
 
     # -- batching (engine fusion) --------------------------------------------
 
@@ -453,7 +457,8 @@ class AnalyticsCompiler:
         return True
 
     def _reset(self, program: AnalyticsProgram) -> None:
-        """Drop a program's records (shape + leaves survive)."""
+        """Drop a program's records and leaf binding (the shape survives)."""
+        program.leaf_farr = None
         program.records.clear()
         program.sightings.clear()
         program.vsum = -1
@@ -462,44 +467,6 @@ class AnalyticsCompiler:
         program.batch_token = -1
         self.stats.invalidations += 1
         _INVALIDATIONS.add()
-
-    def _bind_leaves(self, program: AnalyticsProgram, handles) -> None:
-        frames: List[int] = []
-        for handle in handles:
-            frames.extend(handle.frames)
-        farr = np.unique(np.asarray(frames, dtype=np.intp))
-        program.leaf_farr = farr
-        index = self._frame_index
-        key = program.key
-        for f in farr.tolist():
-            keys = index.get(f)
-            if keys is None:
-                index[f] = {key}
-            else:
-                keys.add(key)
-
-    def _on_free(self, handle) -> None:
-        """Allocator free hook: drop programs reading freed frames."""
-        index = self._frame_index
-        if not index:
-            return
-        dropped: Set[tuple] = set()
-        for f in handle.frames:
-            keys = index.get(f)
-            if keys:
-                dropped.update(keys)
-        for key in dropped:
-            program = self.programs.discard(key)
-            if program is None or program.leaf_farr is None:
-                continue
-            for f in program.leaf_farr.tolist():
-                keys = index.get(f)
-                if keys is not None:
-                    keys.discard(key)
-                    if not keys:
-                        del index[f]
-            self.stats.invalidations += 1
-            _INVALIDATIONS.add()
 
     # -- replay application --------------------------------------------------
 

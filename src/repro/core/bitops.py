@@ -12,6 +12,6 @@ never reach into another package's underscore names.
 
 from __future__ import annotations
 
-from repro.memsim.mainmem import popcount_packed, popcount_rows
+from repro.memsim.mainmem import popcount_packed, popcount_prefix, popcount_rows
 
-__all__ = ["popcount_packed", "popcount_rows"]
+__all__ = ["popcount_packed", "popcount_prefix", "popcount_rows"]

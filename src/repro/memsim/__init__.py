@@ -26,7 +26,7 @@ from repro.memsim.address import (
 )
 from repro.memsim.timing import DDR3_1600, TimingParams, nvm_timing
 from repro.memsim.bus import DDRBus, BusStats
-from repro.memsim.mainmem import MainMemory, RowFrame
+from repro.memsim.mainmem import MainMemory
 from repro.memsim.controller import (
     MemoryController,
     Command,
@@ -53,7 +53,6 @@ __all__ = [
     "DDRBus",
     "BusStats",
     "MainMemory",
-    "RowFrame",
     "MemoryController",
     "Command",
     "CommandKind",

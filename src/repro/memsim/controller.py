@@ -44,7 +44,6 @@ from __future__ import annotations
 import enum
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -211,15 +210,6 @@ class PerfCounters:
             f"price-cache hit rate {100.0 * self.cache_hit_rate:.1f}%, "
             f"engine wall {self.wall_s:.3f}s"
         )
-
-    def summary_line(self) -> str:
-        """Deprecated alias for :meth:`summary`."""
-        warnings.warn(
-            "PerfCounters.summary_line() is deprecated; use summary()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.summary()
 
 
 PERF_DEBUG: bool = os.environ.get("REPRO_PERF_DEBUG", "") not in ("", "0")

@@ -18,7 +18,6 @@ Bits are packed little-endian within bytes (``numpy.packbits`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -67,26 +66,15 @@ else:  # pragma: no cover - older numpy
         return _POP_TABLE[packed_2d].sum(axis=1, dtype=np.int64).tolist()
 
 
-# Deprecated private aliases; the public names above (also exported via
-# :mod:`repro.core.bitops`) are the supported surface.
-_popcount = popcount_packed
-_popcount_rows = popcount_rows
-
-
-@dataclass(slots=True)
-class RowFrame:
-    """One rank row of packed bits.
-
-    Retained for API compatibility (a handful of callers construct these
-    to model a standalone row); :class:`MainMemory` itself stores rows in
-    contiguous per-block arrays, not ``RowFrame`` objects.
-    """
-
-    data: np.ndarray  # uint8, length = geometry.row_bytes
-    writes: int = 0  # endurance accounting
-
-    def copy_bits(self) -> np.ndarray:
-        return self.data.copy()
+def popcount_prefix(packed: np.ndarray, n_bits: int) -> int:
+    """Set bits among the first ``n_bits`` of a little-endian packed
+    array (any shape, read in C order); padding bits are ignored."""
+    flat = packed.reshape(-1)
+    full, rem = divmod(n_bits, 8)
+    count = popcount_packed(flat[:full])
+    if rem:
+        count += (int(flat[full]) & ((1 << rem) - 1)).bit_count()
+    return count
 
 
 class MainMemory:
@@ -356,7 +344,7 @@ class MainMemory:
         The differential-write width of programming ``data`` into the
         frame (only flipped cells pay write energy/endurance).
         """
-        return _popcount(np.bitwise_xor(self.frame_view(frame), data))
+        return popcount_packed(np.bitwise_xor(self.frame_view(frame), data))
 
     # -- row-parallel variants (the batched engine's chunk loop) -------------
 
@@ -413,7 +401,7 @@ class MainMemory:
     def diff_bits_rows(self, frames, data_2d: np.ndarray) -> List[int]:
         """:meth:`diff_bits` per row: differential-write widths."""
         changed = np.bitwise_xor(self.gather_rows(frames), data_2d)
-        return _popcount_rows(changed)
+        return popcount_rows(changed)
 
     def execute_bitwise(self, op: str, dest_frame: int, src_frames) -> None:
         """Functional compute + write-back to the destination frame."""

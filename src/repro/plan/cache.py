@@ -263,9 +263,9 @@ class ProgramCache:
     versions, so -- unlike :class:`SubResultCache` entries -- they need
     no write invalidation: a memory write changes *which* requests
     execute, never what a shape's command stream looks like.  (Analytics
-    programs *do* pin frames, and drop themselves via :meth:`discard`
-    from an allocator free listener.)  Eviction only ever costs a
-    recompile on the next recurrence.
+    program records *do* pin frames; they validate against the
+    planner's write versions, which writes and frees both bump.)
+    Eviction only ever costs a recompile on the next recurrence.
     """
 
     __slots__ = ("max_entries", "_entries", "hits", "misses", "evictions")
@@ -299,10 +299,6 @@ class ProgramCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def discard(self, key):
-        """Drop one entry (no tally); returns it, or ``None``."""
-        return self._entries.pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -53,17 +53,15 @@ from repro import telemetry
 from repro.core.executor import MODE_CODES, OpResult
 from repro.core.ops import PimOp
 from repro.core.stats import OpAccounting
-from repro.core.bitops import popcount_packed, popcount_rows
+from repro.core.bitops import popcount_rows
 from repro.memsim.controller import CommandKind, KIND_CODES
 
 __all__ = [
     "SEEN_ONCE",
     "UNCOMPILABLE",
-    "PopcountProgram",
     "ServeTemplate",
     "ToHostProgram",
     "WaveProgram",
-    "build_popcount_program",
     "build_serve_template",
     "build_to_host_program",
     "build_wave_program",
@@ -124,6 +122,16 @@ class _FrozenBatch:
         "price_memo", "price_memo_ok",
     )
 
+    def __init__(self, cols, op_starts, op_segment_starts, n_segments,
+                 memo_ok: bool):
+        (self.kinds, self.channels, self.n_bits, self.n_steps,
+         self.transfer_bytes, self.segments) = cols
+        self.op_starts = op_starts
+        self.op_segment_starts = op_segment_starts
+        self.n_segments = n_segments
+        self.price_memo = None
+        self.price_memo_ok = memo_ok
+
     def __len__(self) -> int:
         return self.kinds.size
 
@@ -135,19 +143,20 @@ def freeze_batch(batch, memo_ok: bool = False) -> _FrozenBatch:
     controller's memoized batch pricing; leave it False when the replay
     patches widths (wave programs' differential write-backs).
     """
-    fb = _FrozenBatch()
-    fb.kinds = np.asarray(batch.kinds, dtype=np.intp)
-    fb.channels = np.asarray(batch.channels, dtype=np.intp)
-    fb.n_bits = np.asarray(batch.n_bits, dtype=np.float64)
-    fb.n_steps = np.asarray(batch.n_steps, dtype=np.float64)
-    fb.transfer_bytes = np.asarray(batch.transfer_bytes, dtype=np.float64)
-    fb.segments = np.asarray(batch.segments, dtype=np.intp)
-    fb.op_starts = np.asarray(batch.op_starts, dtype=np.intp)
-    fb.op_segment_starts = np.asarray(batch.op_segment_starts, dtype=np.intp)
-    fb.n_segments = batch.n_segments
-    fb.price_memo = None
-    fb.price_memo_ok = memo_ok
-    return fb
+    return _FrozenBatch(
+        (
+            np.asarray(batch.kinds, dtype=np.intp),
+            np.asarray(batch.channels, dtype=np.intp),
+            np.asarray(batch.n_bits, dtype=np.float64),
+            np.asarray(batch.n_steps, dtype=np.float64),
+            np.asarray(batch.transfer_bytes, dtype=np.float64),
+            np.asarray(batch.segments, dtype=np.intp),
+        ),
+        np.asarray(batch.op_starts, dtype=np.intp),
+        np.asarray(batch.op_segment_starts, dtype=np.intp),
+        batch.n_segments,
+        memo_ok,
+    )
 
 
 # -- shape keys ---------------------------------------------------------------
@@ -248,10 +257,7 @@ class ServeTemplate:
     used when a wave serves exactly one item.
     """
 
-    __slots__ = (
-        "kinds", "channels", "n_bits", "n_steps", "transfer_bytes",
-        "segments", "n_chunks", "length", "frozen",
-    )
+    __slots__ = ("cols", "n_chunks", "length", "frozen")
 
 
 def build_serve_template(geometry, n_bits: int, channels: np.ndarray) -> ServeTemplate:
@@ -272,26 +278,16 @@ def build_serve_template(geometry, n_bits: int, channels: np.ndarray) -> ServeTe
     t = ServeTemplate()
     t.n_chunks = n_chunks
     t.length = 3 * n_chunks
-    t.kinds = np.tile(np.array([_K_ACT, _K_SENSE, _K_PRE], dtype=np.intp), n_chunks)
-    t.channels = np.repeat(np.asarray(channels, dtype=np.intp), 3)
-    t.n_bits = np.stack([chunk_bits, chunk_bits, zeros], axis=1).reshape(-1)
-    t.n_steps = np.stack([ones, steps, ones], axis=1).reshape(-1)
-    t.transfer_bytes = np.zeros(t.length)
-    t.segments = np.repeat(np.arange(n_chunks, dtype=np.intp), 3)
-
-    fb = _FrozenBatch()
-    fb.kinds = t.kinds
-    fb.channels = t.channels
-    fb.n_bits = t.n_bits
-    fb.n_steps = t.n_steps
-    fb.transfer_bytes = t.transfer_bytes
-    fb.segments = t.segments
-    fb.op_starts = np.zeros(1, dtype=np.intp)
-    fb.op_segment_starts = np.zeros(1, dtype=np.intp)
-    fb.n_segments = n_chunks
-    fb.price_memo = None
-    fb.price_memo_ok = True
-    t.frozen = fb
+    t.cols = (
+        np.tile(np.array([_K_ACT, _K_SENSE, _K_PRE], dtype=np.intp), n_chunks),
+        np.repeat(np.asarray(channels, dtype=np.intp), 3),
+        np.stack([chunk_bits, chunk_bits, zeros], axis=1).reshape(-1),
+        np.stack([ones, steps, ones], axis=1).reshape(-1),
+        np.zeros(t.length),
+        np.repeat(np.arange(n_chunks, dtype=np.intp), 3),
+    )
+    zero = np.zeros(1, dtype=np.intp)
+    t.frozen = _FrozenBatch(t.cols, zero, zero, n_chunks, True)
     return t
 
 
@@ -307,22 +303,19 @@ def concat_serve_templates(templates: List[ServeTemplate]) -> _FrozenBatch:
     lengths = np.array([t.length for t in templates], dtype=np.intp)
     seg_counts = np.array([t.n_chunks for t in templates], dtype=np.intp)
     seg_offsets = np.concatenate([[0], np.cumsum(seg_counts)])
-
-    fb = _FrozenBatch()
-    fb.kinds = np.concatenate([t.kinds for t in templates])
-    fb.channels = np.concatenate([t.channels for t in templates])
-    fb.n_bits = np.concatenate([t.n_bits for t in templates])
-    fb.n_steps = np.concatenate([t.n_steps for t in templates])
-    fb.transfer_bytes = np.concatenate([t.transfer_bytes for t in templates])
-    fb.segments = np.concatenate([
-        t.segments + seg_offsets[i] for i, t in enumerate(templates)
-    ])
-    fb.op_starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp)
-    fb.op_segment_starts = seg_offsets[:-1].astype(np.intp)
-    fb.n_segments = int(seg_offsets[-1])
-    fb.price_memo = None
-    fb.price_memo_ok = True
-    return fb
+    cols = [
+        np.concatenate([t.cols[i] for t in templates]) for i in range(5)
+    ]
+    cols.append(np.concatenate([
+        t.cols[5] + seg_offsets[i] for i, t in enumerate(templates)
+    ]))
+    return _FrozenBatch(
+        cols,
+        np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp),
+        seg_offsets[:-1].astype(np.intp),
+        int(seg_offsets[-1]),
+        True,
+    )
 
 
 # -- to-host programs ---------------------------------------------------------
@@ -334,21 +327,22 @@ class ToHostProgram:
     A to-host op writes no memory and its command stream carries no
     data-dependent widths, so the whole call freezes on first sight:
     replay recomputes the functional result row-parallel, sets the mode
-    register, and re-prices the frozen batch.
+    register, and re-prices the frozen batch.  It returns the packed
+    result rows; the caller decides what crosses to the host -- the
+    unpacked bits (``pim_op_to_host``) or their set-bit count
+    (``pim_popcount``), so both verbs share one program per shape.
     """
 
     __slots__ = (
-        "frozen", "op", "n_chunks", "n_sources", "steps",
+        "frozen", "op", "n_chunks", "steps",
         "localities", "locality_counts", "mode_code",
     )
 
     def replay(
-        self,
-        executor,
-        scratch: Sequence[int],
-        sources: Sequence[Sequence[int]],
-        n_bits: int,
+        self, executor, sources: Sequence[Sequence[int]], n_bits: int
     ) -> Tuple[np.ndarray, OpResult]:
+        """``(packed result rows, OpResult)``; bits past ``n_bits`` in the
+        last row are padding (an INV may have set them)."""
         op = self.op
         n_chunks = self.n_chunks
         operand_lists = (
@@ -364,12 +358,11 @@ class ToHostProgram:
         acct.in_memory_steps = self.steps
         acct.absorb(executor.controller.execute_batch(self.frozen))
         acct.count_bits(n_bits * len(sources))
-        bits = np.unpackbits(new_rows, bitorder="little")[:n_bits]
         result = OpResult(
             op=op, accounting=acct, steps=self.steps,
             localities=dict(self.localities),
         )
-        return bits, result
+        return new_rows, result
 
 
 def build_to_host_program(
@@ -388,99 +381,10 @@ def build_to_host_program(
     prog.frozen = freeze_batch(flavor[1], memo_ok=True)
     prog.op = op
     prog.n_chunks = n_chunks
-    prog.n_sources = 1 if op is PimOp.INV else None
     prog.steps = result.steps
     prog.localities = dict(result.localities)
     prog.locality_counts = dict(result.accounting.locality_counts)
     prog.mode_code = MODE_CODES[op]
-    return prog
-
-
-class PopcountProgram:
-    """Replayable popcount reduction: a to-host op that returns a count.
-
-    Same frozen pricing and functional recompute as
-    :class:`ToHostProgram` (the full result still crosses the I/O bus,
-    so the command stream and accounting are identical), but the host
-    side reduces the packed rows straight to a set-bit count instead of
-    unpacking ``n_bits`` booleans -- the hot path of the arithmetic
-    subsystem's COUNT/SUM/histogram aggregations.  ``tail_mask`` zeroes
-    any packed bits past ``n_bits`` (an INV can flip padding bits in
-    the last row) and is derived lazily from the first replay's row
-    shape; the shape key pins ``n_bits``, so one mask serves every
-    replay.
-    """
-
-    __slots__ = (
-        "frozen", "op", "n_chunks", "n_sources", "steps",
-        "localities", "locality_counts", "mode_code",
-        "tail_mask", "mask_ready",
-    )
-
-    def replay(
-        self,
-        executor,
-        scratch: Sequence[int],
-        sources: Sequence[Sequence[int]],
-        n_bits: int,
-    ) -> Tuple[int, OpResult]:
-        op = self.op
-        n_chunks = self.n_chunks
-        operand_lists = (
-            [sources[0][:n_chunks]]
-            if op is PimOp.INV
-            else [s[:n_chunks] for s in sources]
-        )
-        new_rows = executor.memory.bitwise_rows(op.value, operand_lists)
-        executor.controller.mode_register = self.mode_code
-        executor._current_mode = op
-        acct = OpAccounting()
-        acct.locality_counts = dict(self.locality_counts)
-        acct.in_memory_steps = self.steps
-        acct.absorb(executor.controller.execute_batch(self.frozen))
-        acct.count_bits(n_bits * len(sources))
-        if not self.mask_ready:
-            total_bits = new_rows.size * 8
-            if n_bits < total_bits:
-                flat = np.zeros(total_bits, dtype=np.uint8)
-                flat[:n_bits] = 1
-                self.tail_mask = np.packbits(
-                    flat, bitorder="little"
-                ).reshape(new_rows.shape)
-            self.mask_ready = True
-        if self.tail_mask is not None:
-            new_rows = new_rows & self.tail_mask
-        count = popcount_packed(new_rows)
-        result = OpResult(
-            op=op, accounting=acct, steps=self.steps,
-            localities=dict(self.localities),
-        )
-        return count, result
-
-
-def build_popcount_program(
-    recorded: list, op: PimOp, result: OpResult, n_chunks: int
-) -> Optional[PopcountProgram]:
-    """Lower one recorded popcount-flavoured ``bitwise_to_host`` call;
-    ``None`` if it took the serial path the slot model does not replay."""
-    if len(recorded) != 1:
-        return None
-    flavor = recorded[0]
-    if flavor[0] != "to_host" or not flavor[2]:
-        return None
-    if result.steps != n_chunks:
-        return None
-    prog = PopcountProgram()
-    prog.frozen = freeze_batch(flavor[1], memo_ok=True)
-    prog.op = op
-    prog.n_chunks = n_chunks
-    prog.n_sources = 1 if op is PimOp.INV else None
-    prog.steps = result.steps
-    prog.localities = dict(result.localities)
-    prog.locality_counts = dict(result.accounting.locality_counts)
-    prog.mode_code = MODE_CODES[op]
-    prog.tail_mask = None
-    prog.mask_ready = False
     return prog
 
 

@@ -53,6 +53,7 @@ Correctness invariants:
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -72,10 +73,6 @@ from repro.plan.compile import (
     SEEN_ONCE,
     UNCOMPILABLE,
     UNCOMPILABLE_SHAPES,
-    PopcountProgram,
-    ToHostProgram,
-    WaveProgram,
-    build_popcount_program,
     build_serve_template,
     build_to_host_program,
     build_wave_program,
@@ -94,10 +91,7 @@ _MAX_BINDINGS = 8192
 
 _CSE_HITS = telemetry.counter("plan.cse_hits")
 _PLANNED = telemetry.counter("plan.requests")
-#: canonical serve-replay counter; the historical ``plan.compile.*``
-#: name is kept as a compatibility alias (both bump in lock-step)
 _SERVE_REPLAYS = telemetry.counter("plan.serve.replays")
-_SERVE_REPLAYS_COMPAT = telemetry.counter("plan.compile.serve_replays")
 
 
 def _serve_commands(batch, geometry, channel_of, dest_frames, n_bits):
@@ -121,6 +115,15 @@ def _serve_commands(batch, geometry, channel_of, dest_frames, n_bits):
         )
         batch.add(CommandKind.PRE, channel=ch)
         batch.fence()
+
+
+def _packed_to_host(executor, op, scratch_frames, source_frame_lists, n_bits):
+    """Interpreted ``bitwise_to_host`` in the program replay's form:
+    ``(packed rows, OpResult)``."""
+    bits, result = executor.bitwise_to_host(
+        op, scratch_frames, source_frame_lists, n_bits
+    )
+    return np.packbits(bits, bitorder="little"), result
 
 
 def forward_rows(
@@ -421,6 +424,26 @@ class QueryPlanner:
         call with the programmed frames: bump their versions, then
         either repair the cached sub-results that read them (a delta
         was captured) or drop them (PR-6 eager invalidation)."""
+        self._bump_versions(frames)
+        if deltas is None:
+            self.cache.invalidate_frames(frames)
+        else:
+            self._repair.on_delta(farr, deltas)
+
+    def on_free(self, handle) -> None:
+        """Allocator free hook: a free is a write-version event.
+
+        The freed rows may be recycled under another vector, so their
+        versions and the write epoch bump exactly as for a write --
+        every key, binding and analytics record that read them goes
+        stale -- and the vector's memos and dependent sub-results go
+        now."""
+        self._bump_versions(handle.frames)
+        self._bound.pop(handle.vid, None)
+        self._leaf_keys.pop(handle.vid, None)
+        self.cache.invalidate_frames(handle.frames)
+
+    def _bump_versions(self, frames) -> None:
         self._write_epoch += 1
         versions = self._versions
         if len(frames) == 1:
@@ -433,21 +456,6 @@ class QueryPlanner:
                 np.fromiter(frames, dtype=np.intp, count=len(frames)),
                 1,
             )
-        if deltas is None:
-            self.cache.invalidate_frames(frames)
-        else:
-            self._repair.on_delta(farr, deltas)
-
-    def _on_frames_written(self, frames) -> None:
-        """Bulk-listener compatibility shim: invalidation-only entry."""
-        self.on_write(frames)
-
-    def on_free(self, handle) -> None:
-        """Allocator free hook: a freed vector's rows may be recycled, so
-        its bindings and any sub-results reading its frames go now."""
-        self._bound.pop(handle.vid, None)
-        self._leaf_keys.pop(handle.vid, None)
-        self.cache.invalidate_frames(handle.frames)
 
     # -- canonicalisation ----------------------------------------------------
 
@@ -714,7 +722,6 @@ class QueryPlanner:
         stats.waves += 1
         stats.serve_replays += 1
         _SERVE_REPLAYS.add()
-        _SERVE_REPLAYS_COMPAT.add()
         with telemetry.span("plan.cache.serve", served=k):
             farrs = []
             rows_parts = []
@@ -948,48 +955,59 @@ class QueryPlanner:
         wave.bind.clear()
 
     def _run_exec(self, exec_items: List[_Item]) -> List[OpResult]:
-        """Execute a wave's exec items, compiled when possible.
-
-        A wave shape's lifecycle: first sight interprets and drops a
-        ``SEEN_ONCE`` marker; the second sight interprets again with the
-        executor's record sink attached and lowers the recording into a
-        :class:`~repro.plan.compile.WaveProgram` (or marks the shape
-        ``UNCOMPILABLE`` forever); every later sight replays the program
-        -- same memory effects, byte-identical pricing through the
-        frozen command batch, no per-op Python on the hot path.
-        """
+        """Execute a wave's exec items, compiled when possible (a wave
+        shape compiles on its second sighting, see :meth:`_compiled`)."""
         if not self.compile_enabled:
             return self._interpret_exec(exec_items)
         executor = self.executor
         key = wave_shape_key(executor.mapper, exec_items, executor._current_mode)
         if key is None:  # inter-chip placement: interpreted fallback owns it
             return self._interpret_exec(exec_items)
+        return self._compiled(
+            key,
+            2,
+            lambda program: program.replay(self, exec_items),
+            lambda: self._interpret_exec(exec_items),
+            lambda recorded, results: build_wave_program(
+                self, exec_items, results, recorded, self.driver.last_order
+            ),
+            "wave",
+            len(exec_items),
+        )
+
+    def _compiled(self, key, sightings: int, replay, interpret, build,
+                  kind: str, items: int):
+        """The compile lifecycle every program kind shares.
+
+        A shape's ``sightings``-th sighting (1 or 2) interprets with the
+        executor's record sink attached and lowers the recording with
+        ``build(recorded, interpreted result)`` -- into a program, or an
+        ``UNCOMPILABLE`` mark that keeps the shape interpreted forever;
+        earlier sightings interpret behind a ``SEEN_ONCE`` mark.  Every
+        later sighting replays the program: same memory effects,
+        byte-identical pricing through its frozen command batch.
+        """
         entry = self.programs.get(key)
-        if type(entry) is WaveProgram:
+        if entry is not None and entry is not SEEN_ONCE and entry is not UNCOMPILABLE:
             PROGRAM_HITS.add()
             self.stats.program_hits += 1
-            return entry.replay(self, exec_items)
+            return replay(entry)
         PROGRAM_MISSES.add()
         self.stats.program_misses += 1
         if entry is UNCOMPILABLE:
-            return self._interpret_exec(exec_items)
-        if entry is None:
+            return interpret()
+        if entry is None and sightings > 1:
             self.programs.put(key, SEEN_ONCE)
-            return self._interpret_exec(exec_items)
-        # second sight: record the interpreted run and compile it
+            return interpret()
+        executor = self.executor
         executor.record_sink = recorded = []
         try:
-            flush_results = self._interpret_exec(exec_items)
+            out = interpret()
         finally:
             executor.record_sink = None
-        with telemetry.span(
-            "plan.compile.program", kind="wave", items=len(exec_items)
-        ):
+        with telemetry.span("plan.compile.program", kind=kind, items=items):
             t0 = perf_counter()
-            program = build_wave_program(
-                self, exec_items, flush_results, recorded,
-                self.driver.last_order,
-            )
+            program = build(recorded, out)
             dt = perf_counter() - t0
         COMPILE_SECONDS.add(dt)
         self.stats.compile_seconds += dt
@@ -1000,7 +1018,7 @@ class QueryPlanner:
             COMPILATIONS.add()
             self.stats.compilations += 1
             self.programs.put(key, program)
-        return flush_results
+        return out
 
     def _interpret_exec(self, exec_items: List[_Item]) -> List[OpResult]:
         driver = self.driver
@@ -1017,97 +1035,16 @@ class QueryPlanner:
         scratch_frames: Sequence[int],
         source_frame_lists: Sequence[Sequence[int]],
         n_bits: int,
-    ):
+    ) -> Tuple[np.ndarray, OpResult]:
         """Compiled-path :meth:`PinatuboExecutor.bitwise_to_host`.
 
         A to-host call writes no memory and its command stream has no
         data-dependent widths, so its program freezes on *first* sight
-        and replays from the second on.  Returns ``(bits, OpResult)``
-        exactly like the executor call.
+        and replays from the second on.  Returns ``(packed rows,
+        OpResult)``: the result's first ``n_bits`` bits, little-endian,
+        with undefined padding past them.
         """
-        # scratch intermediates written by the serial interpreted path
-        # are wave-internal: keep every write inside on eager
-        # invalidation (program replays write nothing, so the guard is
-        # inert on the compiled fast path)
-        self._wave_depth += 1
-        try:
-            return self._execute_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        finally:
-            self._wave_depth -= 1
-
-    def _execute_to_host(
-        self,
-        op,
-        scratch_frames: Sequence[int],
-        source_frame_lists: Sequence[Sequence[int]],
-        n_bits: int,
-    ):
-        executor = self.executor
-        if not self.compile_enabled:
-            return executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        op = PimOp.parse(op)
-        n_chunks = self.geometry.rows_for_bits(n_bits)
-        # shape keys are geometry-pure, so memo them by raw operand
-        # identity: scratch rotates through a finite pool and the same
-        # frame tuples recur indefinitely
-        raw = (
-            op,
-            n_bits,
-            executor._current_mode,
-            tuple(scratch_frames),
-            tuple(tuple(s) for s in source_frame_lists),
-        )
-        key = self._to_host_keys.get(raw)
-        if key is None and raw not in self._to_host_keys:
-            key = to_host_shape_key(
-                executor.mapper, op, scratch_frames, source_frame_lists,
-                n_bits, n_chunks, executor._current_mode,
-            )
-            if len(self._to_host_keys) >= _MAX_BINDINGS:
-                self._to_host_keys.clear()
-            self._to_host_keys[raw] = key
-        if key is None:
-            return executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        entry = self.programs.get(key)
-        if type(entry) is ToHostProgram:
-            PROGRAM_HITS.add()
-            self.stats.program_hits += 1
-            return entry.replay(
-                executor, scratch_frames, source_frame_lists, n_bits
-            )
-        PROGRAM_MISSES.add()
-        self.stats.program_misses += 1
-        if entry is UNCOMPILABLE:
-            return executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        executor.record_sink = recorded = []
-        try:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        finally:
-            executor.record_sink = None
-        with telemetry.span("plan.compile.program", kind="to_host", items=1):
-            t0 = perf_counter()
-            program = build_to_host_program(recorded, op, result, n_chunks)
-            dt = perf_counter() - t0
-        COMPILE_SECONDS.add(dt)
-        self.stats.compile_seconds += dt
-        if program is None:
-            UNCOMPILABLE_SHAPES.add()
-            self.programs.put(key, UNCOMPILABLE)
-        else:
-            COMPILATIONS.add()
-            self.stats.compilations += 1
-            self.programs.put(key, program)
-        return bits, result
+        return self._to_host(op, scratch_frames, source_frame_lists, n_bits)
 
     def execute_popcount(
         self,
@@ -1115,98 +1052,68 @@ class QueryPlanner:
         scratch_frames: Sequence[int],
         source_frame_lists: Sequence[Sequence[int]],
         n_bits: int,
-    ):
-        """Compiled-path popcount reduction of a to-host op.
+    ) -> Tuple[np.ndarray, OpResult]:
+        """:meth:`execute_to_host` entered for a popcount reduction.
 
-        Same command stream, pricing and freeze-on-first-sight lifecycle
-        as :meth:`execute_to_host`, but the host side reduces straight
-        to a set-bit count (the arithmetic subsystem's aggregation
-        primitive).  Returns ``(count, OpResult)``.
+        The same program and pricing -- the full result crosses the
+        I/O bus either way; the caller counts the returned rows.  A
+        separate entry point so per-layer tracing can tell the two
+        runtime verbs apart.
         """
+        return self._to_host(op, scratch_frames, source_frame_lists, n_bits)
+
+    def _to_host(self, op, scratch_frames, source_frame_lists, n_bits):
+        executor = self.executor
+        op = PimOp.parse(op)
+        interpret = partial(
+            _packed_to_host, executor, op, scratch_frames, source_frame_lists,
+            n_bits,
+        )
+        # scratch intermediates written by the serial interpreted path
+        # are wave-internal: keep every write inside on eager
+        # invalidation (program replays write nothing, so the guard is
+        # inert on the compiled fast path)
         self._wave_depth += 1
         try:
-            return self._execute_popcount(
-                op, scratch_frames, source_frame_lists, n_bits
+            if not self.compile_enabled:
+                return interpret()
+            # shape keys are geometry-pure, so memo them by raw operand
+            # identity: scratch rotates through a finite pool and the
+            # same frame tuples recur indefinitely
+            raw = (
+                op,
+                n_bits,
+                executor._current_mode,
+                tuple(scratch_frames),
+                tuple(tuple(s) for s in source_frame_lists),
+            )
+            key = self._to_host_keys.get(raw)
+            n_chunks = self.geometry.rows_for_bits(n_bits)
+            if key is None and raw not in self._to_host_keys:
+                key = to_host_shape_key(
+                    executor.mapper, op, scratch_frames, source_frame_lists,
+                    n_bits, n_chunks, executor._current_mode,
+                )
+                if len(self._to_host_keys) >= _MAX_BINDINGS:
+                    self._to_host_keys.clear()
+                self._to_host_keys[raw] = key
+            if key is None:  # inter-chip placement
+                return interpret()
+            return self._compiled(
+                key,
+                1,
+                lambda program: program.replay(
+                    executor, source_frame_lists, n_bits
+                ),
+                interpret,
+                lambda recorded, out: build_to_host_program(
+                    recorded, op, out[1], n_chunks
+                ),
+                "to_host",
+                1,
             )
         finally:
             self._wave_depth -= 1
-
-    def _execute_popcount(
-        self,
-        op,
-        scratch_frames: Sequence[int],
-        source_frame_lists: Sequence[Sequence[int]],
-        n_bits: int,
-    ):
-        executor = self.executor
-        if not self.compile_enabled:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            return int(bits.sum()), result
-        op = PimOp.parse(op)
-        n_chunks = self.geometry.rows_for_bits(n_bits)
-        # raw keys are tagged so popcount bindings never collide with
-        # plain to-host bindings over the same operand tuples
-        raw = (
-            "pc",
-            op,
-            n_bits,
-            executor._current_mode,
-            tuple(scratch_frames),
-            tuple(tuple(s) for s in source_frame_lists),
-        )
-        key = self._to_host_keys.get(raw)
-        if key is None and raw not in self._to_host_keys:
-            key = to_host_shape_key(
-                executor.mapper, op, scratch_frames, source_frame_lists,
-                n_bits, n_chunks, executor._current_mode,
-            )
-            if key is not None:
-                key = ("popcount",) + key
-            if len(self._to_host_keys) >= _MAX_BINDINGS:
-                self._to_host_keys.clear()
-            self._to_host_keys[raw] = key
-        if key is None:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            return int(bits.sum()), result
-        entry = self.programs.get(key)
-        if type(entry) is PopcountProgram:
-            PROGRAM_HITS.add()
-            self.stats.program_hits += 1
-            return entry.replay(
-                executor, scratch_frames, source_frame_lists, n_bits
-            )
-        PROGRAM_MISSES.add()
-        self.stats.program_misses += 1
-        if entry is UNCOMPILABLE:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            return int(bits.sum()), result
-        executor.record_sink = recorded = []
-        try:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        finally:
-            executor.record_sink = None
-        with telemetry.span("plan.compile.program", kind="popcount", items=1):
-            t0 = perf_counter()
-            program = build_popcount_program(recorded, op, result, n_chunks)
-            dt = perf_counter() - t0
-        COMPILE_SECONDS.add(dt)
-        self.stats.compile_seconds += dt
-        if program is None:
-            UNCOMPILABLE_SHAPES.add()
-            self.programs.put(key, UNCOMPILABLE)
-        else:
-            COMPILATIONS.add()
-            self.stats.compilations += 1
-            self.programs.put(key, program)
-        return int(bits.sum()), result
 
     def _serve(
         self,

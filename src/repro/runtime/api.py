@@ -16,6 +16,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+from repro.core.bitops import popcount_prefix
 from repro.core.pinatubo import PinatuboSystem
 from repro.core.stats import OpAccounting
 from repro.memsim.geometry import DEFAULT_GEOMETRY, MemoryGeometry
@@ -186,26 +187,8 @@ class PimRuntime:
         step; ``scratch`` only holds intermediates when the operand list
         decomposes.  Returns the result bits.
         """
-        sources = list(sources)
-        if n_bits is None:
-            n_bits = min([scratch.n_bits] + [s.n_bits for s in sources])
-        scratch_frames = list(scratch.frames)
-        source_frame_lists = [list(s.frames) for s in sources]
-        if self.planner is not None:
-            # planned runtimes route through the kernel compiler: the
-            # call replays as a frozen program once its shape repeats
-            bits, result = self.planner.execute_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        else:
-            bits, result = self.system.executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        self.driver.stats.instructions += 1
-        self.driver.stats.accounting = self.driver.stats.accounting.merged(
-            result.accounting
-        )
-        return bits
+        rows, n_bits = self._bus_read(op, scratch, sources, n_bits, False)
+        return np.unpackbits(rows, count=n_bits, bitorder="little")
 
     def pim_popcount(
         self, op, scratch, sources, *, n_bits: Optional[int] = None
@@ -218,25 +201,37 @@ class PimRuntime:
         set-bit count, skipping the bit unpack.  The arithmetic
         subsystem's aggregation primitive (COUNT/SUM/histogram).
         """
+        rows, n_bits = self._bus_read(op, scratch, sources, n_bits, True)
+        return popcount_prefix(rows, n_bits)
+
+    def _bus_read(self, op, scratch, sources, n_bits, popcount: bool):
+        """The to-host call both bus verbs make: ``(packed rows, n_bits)``.
+
+        Planned runtimes route through the kernel compiler, where the
+        call replays as a frozen program once its shape repeats.  The
+        rows hold the result's first ``n_bits`` bits, little-endian;
+        padding past them is undefined.
+        """
         sources = list(sources)
         if n_bits is None:
             n_bits = min([scratch.n_bits] + [s.n_bits for s in sources])
         scratch_frames = list(scratch.frames)
         source_frame_lists = [list(s.frames) for s in sources]
-        if self.planner is not None:
-            count, result = self.planner.execute_popcount(
-                op, scratch_frames, source_frame_lists, n_bits
+        planner = self.planner
+        if planner is not None:
+            execute = (
+                planner.execute_popcount if popcount else planner.execute_to_host
             )
+            rows, result = execute(op, scratch_frames, source_frame_lists, n_bits)
         else:
             bits, result = self.system.executor.bitwise_to_host(
                 op, scratch_frames, source_frame_lists, n_bits
             )
-            count = int(bits.sum())
-        self.driver.stats.instructions += 1
-        self.driver.stats.accounting = self.driver.stats.accounting.merged(
-            result.accounting
-        )
-        return count
+            rows = np.packbits(bits, bitorder="little")
+        stats = self.driver.stats
+        stats.instructions += 1
+        stats.accounting = stats.accounting.merged(result.accounting)
+        return rows, n_bits
 
     def pim_write(self, handle: BitVectorHandle, bits: np.ndarray) -> None:
         """Host write of a vector's contents (pays bus cost)."""

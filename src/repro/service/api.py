@@ -2,7 +2,7 @@
 
 Callers used to construct :class:`~repro.service.request.QueryRequest` /
 ``UpdateRequest`` / ``SubscribeRequest`` objects by hand -- picking
-request ids, arrival timestamps, and the right ``submit()`` overload --
+request ids, arrival timestamps, and the right request class --
 for every interaction.  The facade folds all of that into three verbs::
 
     client = ServiceClient(service_or_cluster)

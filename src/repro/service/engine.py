@@ -196,23 +196,16 @@ class ServiceEngine:
 class ResidentPimEngine(ServiceEngine):
     """Functional Pinatubo runtime with resident, shard-aware placement.
 
-    By default the engine builds its runtime with ``plan=True`` and the
-    kernel compiler on: request streams go through the
+    The engine builds its runtime with ``plan=True`` and the kernel
+    compiler on: request streams go through the
     :class:`~repro.plan.QueryPlanner`, repeated sub-expressions serve
     from the sub-result cache, and recurring wave shapes replay as
-    compiled numpy programs.  ``plan=False`` restores the PR 1 direct
-    driver batching; ``compile=False`` keeps planning but interprets
-    every wave.  When a prebuilt ``runtime`` is injected, its own
-    planner configuration wins and these flags are ignored.
+    compiled numpy programs.  Any other planner configuration (e.g. the
+    interpreted ``compile=False`` reference) is injected as a prebuilt
+    ``runtime=PimRuntime.from_config(config, plan=..., compile=...)``.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        runtime=None,
-        plan: bool = True,
-        compile: bool = True,
-    ):
+    def __init__(self, config: SystemConfig, runtime=None):
         if config.backend != "pinatubo":
             raise ValueError(
                 f"ResidentPimEngine serves the 'pinatubo' backend, "
@@ -221,9 +214,7 @@ class ResidentPimEngine(ServiceEngine):
         from repro.runtime.api import PimRuntime
 
         self.config = config
-        self.runtime = runtime or PimRuntime.from_config(
-            config, plan=plan, compile=compile
-        )
+        self.runtime = runtime or PimRuntime.from_config(config, plan=True)
         executor = self.runtime.system.executor
         self.name = f"Pinatubo-{executor.limits.or_rows}"
         self._caps = BackendCapabilities(
@@ -712,22 +703,17 @@ class HostOracleEngine(ServiceEngine):
 
 
 def build_engine(
-    config: SystemConfig,
-    host_shards: int = 1,
-    runtime=None,
-    plan: bool = True,
-    compile: bool = True,
+    config: SystemConfig, host_shards: int = 1, runtime=None
 ) -> ServiceEngine:
     """The engine a :class:`SystemConfig` calls for.
 
-    ``pinatubo`` gets the resident shard-aware engine (optionally over a
-    caller-built runtime, e.g. a custom benchmark geometry); everything
-    else goes through the backend protocol host-side.  ``plan`` /
-    ``compile`` configure the pinatubo engine's planner and kernel
-    compiler (both on by default; ignored with an injected runtime).
+    ``pinatubo`` gets the resident shard-aware engine, planned and
+    compiled; a custom planner configuration or a caller-built system
+    (e.g. a benchmark geometry) is injected with ``runtime=``.
+    Everything else goes through the backend protocol host-side.
     """
     if config.backend == "pinatubo":
-        return ResidentPimEngine(config, runtime=runtime, plan=plan, compile=compile)
+        return ResidentPimEngine(config, runtime=runtime)
     if runtime is not None:
         raise ValueError("runtime injection only applies to 'pinatubo'")
     return HostOracleEngine(config, n_shards=host_shards)

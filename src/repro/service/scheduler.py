@@ -24,7 +24,7 @@ The scheduler is substrate-agnostic: with the default
 runs through the planner's compiled path (sub-result cache serves plus
 :mod:`repro.plan.compile` program replay for recurring wave shapes), so
 steady-state dispatch wall-clock is dominated by a few vectorized numpy
-passes rather than per-op Python.  Build the engine with
+passes rather than per-op Python.  Inject a ``runtime=`` built with
 ``compile=False`` (or ``plan=False``) to fall back to interpreted
 execution; simulated pricing is identical either way.
 """

@@ -2,9 +2,9 @@
 
 Request lifecycle (all timestamps on the deterministic simulated clock)::
 
-    submit() ──> arrival event ──> admission ──┬─> tenant queue ──┐
-                                               ├─> paced (DELAY) ─┘
-                                               └─> REJECTED
+    submit_request() ──> arrival event ──> admission ──┬─> tenant queue ──┐
+                                                       ├─> paced (DELAY) ─┘
+                                                       └─> REJECTED
     server idle + queues non-empty ──> scheduler.collect (round-robin,
         cross-tenant) ──> engine.execute (ONE driver command batch) ──>
         shard-aware pricing ──> completion event ──> results + stats
@@ -23,7 +23,6 @@ simulated makespan/energy.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
@@ -322,23 +321,6 @@ class BitmapQueryService:
                 self._n_subscribes += 1
         self._submitted += 1
         self.loop.schedule(request.arrival_s, lambda: self._on_arrival(request))
-
-    def submit(self, request) -> None:
-        """Deprecated alias of :meth:`submit_request`.
-
-        Kept as a thin shim for callers written against the pre-facade
-        API; new code goes through
-        :class:`repro.service.api.ServiceClient` (``query()`` /
-        ``update()`` / ``subscribe()``) or :meth:`submit_request`.
-        """
-        warnings.warn(
-            "BitmapQueryService.submit() is deprecated; use the "
-            "repro.service.api.ServiceClient facade (query/update/"
-            "subscribe) or submit_request()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.submit_request(request)
 
     def submit_many(self, requests) -> int:
         count = 0

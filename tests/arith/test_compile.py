@@ -165,14 +165,57 @@ class TestInvalidation:
         assert r2.popcount == r.popcount
         table.verify()
 
-    def test_free_drops_programs_via_allocator_listener(self):
-        table, _ = loaded_table()
+    def test_free_and_reload_never_replays_stale_record(self):
+        table, data = loaded_table()
+        spec = ("cmp", "age", "lt", 30)
+        for _ in range(4):
+            table.filter(spec).count()
+        assert table.compiler.stats.replays >= 1
+        table.verify()
+        old_leaves = set(table.compiler.programs.get(
+            analytics_program_key([spec], ("count",))[0]
+        ).leaf_farr.tolist())
+
+        table.free()
+        # the freed table's history checks against its old shadows
+        table.executed.clear()
+        age2 = np.random.default_rng(20).integers(0, 64, N).astype(np.int64)
+        assert (age2 < 30).sum() != (data["age"] < 30).sum()
+        table.load_column("age", age2, 6)
+        new_frames = {
+            f for plane in table._slices["age"].planes for f in plane.frames
+        }
+        # the reload lands on recycled rows, none of them the old planes
+        assert new_frames <= set(range(max(old_leaves) + 1))
+
+        replays = table.compiler.stats.replays
+        r = table.filter(spec).count()
+        assert table.compiler.stats.replays == replays
+        assert r.popcount == int((age2 < 30).sum())
+        for _ in range(3):
+            r = table.filter(spec).count()
+        assert table.compiler.stats.replays > replays  # re-recorded
+        assert r.popcount == int((age2 < 30).sum())
+        table.verify()
+
+    def test_new_record_does_not_revalidate_stale_records(self):
+        """After a leaf write, recording one constant must not re-bless
+        another constant's pre-write record."""
+        table, data = loaded_table()
         for _ in range(4):
             table.filter(("cmp", "age", "lt", 30)).count()
-        assert len(table.compiler.programs) == 1
-        table.free()
-        assert len(table.compiler.programs) == 0
-        assert not table.compiler._frame_index
+        assert table.compiler.stats.replays >= 1
+        newbits = np.random.default_rng(5).integers(0, 2, N).astype(np.uint8)
+        table.runtime.pim_write(table._slices["age"].planes[5], newbits)
+        age2 = (data["age"] & ~32) | (newbits.astype(np.int64) << 5)
+        table._host["age"] = age2
+        table.executed.clear()  # pre-write answers checked the old shadow
+        assert (age2 < 30).sum() != (data["age"] < 30).sum()
+        for _ in range(4):
+            table.filter(("cmp", "age", "lt", 55)).count()
+        r = table.filter(("cmp", "age", "lt", 30)).count()
+        assert r.popcount == int((age2 < 30).sum())
+        table.verify()
 
 
 class TestDifferentialSweep:

@@ -157,15 +157,6 @@ class TestPerfCounters:
         assert "80.0%" in line
         assert pc.cache_hit_rate == pytest.approx(0.8)
 
-    def test_summary_line_shim_warns_and_delegates(self):
-        from repro.memsim.controller import PerfCounters
-
-        pc = PerfCounters(scalar_commands=10, batch_commands=90, batches=3,
-                          streams=5, cache_hits=8, cache_misses=2)
-        with pytest.warns(DeprecationWarning):
-            line = pc.summary_line()
-        assert line == pc.summary()
-
 
 class TestStatsConvention:
     """Every stats surface follows the ``to_dict()``/``summary()`` contract."""

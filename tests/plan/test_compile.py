@@ -154,6 +154,41 @@ class TestCompiledVsInterpretedOps:
             rt_c.pim_accounting.energy, rt_i.pim_accounting.energy
         )
 
+    def test_to_host_and_popcount_share_one_program(self):
+        """Both bus verbs over one shape compile once and match the
+        interpreted runtime and numpy -- including an INV that sets the
+        padding bits past ``n_bits`` in the last row."""
+        n_bits = N - 13  # ends mid-byte inside the last row
+        trace = {}
+        for compile_ in (True, False):
+            rt = _runtime(compile_=compile_)
+            (a, b, _c), bits = _loaded(rt)
+            scratch = rt.pim_malloc(N)
+            costs = []
+            for op, srcs, want in (
+                ("and", [a, b], bits[0] & bits[1]),
+                ("inv", [a], 1 - bits[0]),
+            ):
+                want = want[:n_bits]
+                # the first call leaves the mode register at ``op``, so
+                # every later call enters with the same shape key
+                rt.pim_op_to_host(op, scratch, srcs, n_bits=n_bits)
+                before = rt.plan_stats.compilations
+                for _ in range(3):
+                    out = rt.pim_op_to_host(op, scratch, srcs, n_bits=n_bits)
+                    assert np.array_equal(out, want)
+                    costs.append(rt.pim_accounting.latency)
+                    count = rt.pim_popcount(op, scratch, srcs, n_bits=n_bits)
+                    assert count == int(want.sum())
+                    costs.append(rt.pim_accounting.latency)
+                compiled = rt.plan_stats.compilations - before
+                assert compiled == (1 if compile_ else 0)
+            costs.append(rt.pim_accounting.energy)
+            trace[compile_] = costs
+        assert len(trace[True]) == len(trace[False])
+        for c, i in zip(trace[True], trace[False]):
+            assert _rel_close(c, i)
+
 
 #: small FastBit schema for the end-to-end differential
 COLUMNS = (

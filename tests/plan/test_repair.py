@@ -367,11 +367,10 @@ class TestRepairPricingParity:
 
 class TestServeReplayCounterAlias:
     def test_compat_counter_tracks_canonical(self):
-        """Satellite: the serve-replay tally lives under the canonical
-        ``plan.serve.replays`` name; the historical
-        ``plan.compile.serve_replays`` alias bumps in lock-step."""
+        """The serve-replay tally lives under the canonical
+        ``plan.serve.replays`` name (the historical alias is gone) and
+        tracks ``PlanStats.serve_replays``."""
         new0 = telemetry.counter("plan.serve.replays").value
-        old0 = telemetry.counter("plan.compile.serve_replays").value
         rt = _runtime()
         (a, b, c), _ = _loaded(rt)
         # pass 1 executes, pass 2 serves interpreted (recording the
@@ -381,5 +380,4 @@ class TestServeReplayCounterAlias:
             rt.pim_op_many([("or", d1, [a, b]), ("xor", d2, [a, c])])
         assert rt.plan_stats.serve_replays >= 1
         d_new = telemetry.counter("plan.serve.replays").value - new0
-        d_old = telemetry.counter("plan.compile.serve_replays").value - old0
-        assert d_new == d_old == rt.plan_stats.serve_replays
+        assert d_new == rt.plan_stats.serve_replays

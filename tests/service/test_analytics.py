@@ -241,6 +241,7 @@ class TestAnalyticsPrograms:
         svc.verify_results()
 
     def test_replayed_results_byte_identical_to_interpreted_engine(self):
+        from repro.runtime.api import PimRuntime
         from repro.service.engine import build_engine
 
         data = dataset()
@@ -250,7 +251,10 @@ class TestAnalyticsPrograms:
 
             config = ServiceConfig()
             engine = build_engine(
-                config.system, plan=True, compile=compile_
+                config.system,
+                runtime=PimRuntime.from_config(
+                    config.system, plan=True, compile=compile_
+                ),
             )
             svc = BitmapQueryService(config=config, engine=engine)
             client = ServiceClient(svc)

@@ -1,4 +1,4 @@
-"""ServiceClient facade: verb<->request equivalence, handles, the shim."""
+"""ServiceClient facade: verb<->request equivalence, handles, submit_request."""
 
 import warnings
 
@@ -157,17 +157,7 @@ class TestTargetValidation:
             ServiceClient(object())
 
 
-class TestDeprecatedSubmitShim:
-    def test_submit_warns_but_still_works(self):
-        service = BitmapQueryService()
-        service.register_tenant("t")
-        service.load_vectors("t", vectors())
-        request = QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0)
-        with pytest.warns(DeprecationWarning, match="ServiceClient"):
-            service.submit(request)
-        stats = service.run()
-        assert stats.completed == 1
-
+class TestSubmitRequest:
     def test_submit_request_does_not_warn(self):
         service = BitmapQueryService()
         service.register_tenant("t")
@@ -177,47 +167,3 @@ class TestDeprecatedSubmitShim:
             service.submit_request(
                 QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0)
             )
-
-    def test_shim_warns_for_every_request_type(self):
-        service = BitmapQueryService()
-        service.register_tenant("t")
-        service.load_vectors("t", vectors())
-        bits = vectors(seed=9)["v0"]
-        for request in (
-            QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0),
-            UpdateRequest(1, "t", "v0", bits, 0.0),
-            SubscribeRequest(2, "t", "xor", ("v1", "v2"), 0.0),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                service.submit(request)
-        stats = service.run()
-        assert stats.completed == 3
-
-    def test_shim_results_match_facade_verbs(self):
-        """Same stream through submit() and through the facade verbs
-        produces byte-identical results -- the shim is only a warning."""
-
-        def play(use_shim):
-            service = BitmapQueryService()
-            client = ServiceClient(service)
-            client.register_tenant("t")
-            client.load_vectors("t", vectors())
-            bits = vectors(seed=9)["v0"]
-            if use_shim:
-                stream = [
-                    QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0),
-                    UpdateRequest(1, "t", "v0", bits, 1e-4),
-                    QueryRequest.bitwise(2, "t", "or", ("v0", "v1"), 2e-4),
-                ]
-                with pytest.warns(DeprecationWarning):
-                    for request in stream:
-                        service.submit(request)
-                service.run()
-            else:
-                client.query("t", "and", ("v0", "v1"), at=0.0, request_id=0)
-                client.update("t", "v0", bits, at=1e-4, request_id=1)
-                client.query("t", "or", ("v0", "v1"), at=2e-4, request_id=2)
-                client.run()
-            return [r.to_dict() for r in service.results]
-
-        assert play(use_shim=True) == play(use_shim=False)

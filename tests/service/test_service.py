@@ -35,7 +35,7 @@ class TestLifecycle:
     def test_single_request_completes_with_oracle_parity(self):
         svc = make_service()
         vectors = load_basic(svc, "t")
-        svc.submit(QueryRequest.bitwise(1, "t", "and", ("a", "b"), 0.0))
+        svc.submit_request(QueryRequest.bitwise(1, "t", "and", ("a", "b"), 0.0))
         stats = svc.run()
         assert stats.completed == 1
         (result,) = svc.results
@@ -49,10 +49,10 @@ class TestLifecycle:
     def test_all_ops_match_numpy_oracle(self):
         svc = make_service()
         load_basic(svc, "t")
-        svc.submit(QueryRequest.bitwise(1, "t", "and", ("a", "b", "c"), 0.0))
-        svc.submit(QueryRequest.bitwise(2, "t", "or", ("a", "b", "c"), 1e-6))
-        svc.submit(QueryRequest.bitwise(3, "t", "xor", ("a", "b"), 2e-6))
-        svc.submit(QueryRequest.bitwise(4, "t", "inv", ("a",), 3e-6))
+        svc.submit_request(QueryRequest.bitwise(1, "t", "and", ("a", "b", "c"), 0.0))
+        svc.submit_request(QueryRequest.bitwise(2, "t", "or", ("a", "b", "c"), 1e-6))
+        svc.submit_request(QueryRequest.bitwise(3, "t", "xor", ("a", "b"), 2e-6))
+        svc.submit_request(QueryRequest.bitwise(4, "t", "inv", ("a",), 3e-6))
         svc.run()
         assert svc.verify_results() == 4
 
@@ -62,7 +62,7 @@ class TestLifecycle:
         rng = np.random.default_rng(1)
         bins = rng.integers(0, 8, 512)
         svc.load_bitmap_index("t", "temp", bins, 8)
-        svc.submit(QueryRequest.range_query(1, "t", "temp", 2, 5, 0.0))
+        svc.submit_request(QueryRequest.range_query(1, "t", "temp", 2, 5, 0.0))
         stats = svc.run()
         assert stats.completed == 1
         expected = ((bins >= 2) & (bins <= 5)).astype(np.uint8)
@@ -72,9 +72,9 @@ class TestLifecycle:
         svc = make_service()
         load_basic(svc, "t")
         with pytest.raises(KeyError, match="unknown tenant"):
-            svc.submit(QueryRequest.bitwise(1, "ghost", "and", ("a", "b"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(1, "ghost", "and", ("a", "b"), 0.0))
         with pytest.raises(KeyError, match="no vector"):
-            svc.submit(QueryRequest.bitwise(1, "t", "and", ("a", "nope"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(1, "t", "and", ("a", "nope"), 0.0))
 
     def test_unsupported_op_rejected_with_clear_error(self):
         # the sdram baseline serves only or/and: xor must be refused at
@@ -91,7 +91,7 @@ class TestLifecycle:
             },
         )
         with pytest.raises(UnsupportedOpError) as err:
-            svc.submit(QueryRequest.bitwise(1, "t", "xor", ("a", "b"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(1, "t", "xor", ("a", "b"), 0.0))
         message = str(err.value)
         assert "xor" in message
         assert "and, or" in message
@@ -106,7 +106,7 @@ class TestCoalescing:
         # all arrive at t=0: the first dispatch takes one, the rest
         # backlog and coalesce
         for i, t in enumerate(("a", "b", "c", "d") * 2):
-            svc.submit(QueryRequest.bitwise(i, t, "or", ("a", "b"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(i, t, "or", ("a", "b"), 0.0))
         stats = svc.run()
         assert stats.completed == 8
         assert stats.batches < 8
@@ -117,7 +117,7 @@ class TestCoalescing:
         svc = make_service(max_batch=1)
         load_basic(svc, "t")
         for i in range(5):
-            svc.submit(QueryRequest.bitwise(i, "t", "or", ("a", "b"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(i, "t", "or", ("a", "b"), 0.0))
         stats = svc.run()
         assert stats.batches == 5
         assert stats.coalesced_requests == 0
@@ -140,10 +140,10 @@ class TestBackpressure:
         # greedy floods 10 simultaneous arrivals against a 2-deep queue;
         # polite sends one
         for i in range(10):
-            svc.submit(
+            svc.submit_request(
                 QueryRequest.bitwise(i, "greedy", "and", ("a", "b"), 0.0)
             )
-        svc.submit(
+        svc.submit_request(
             QueryRequest.bitwise(100, "polite", "xor", ("a", "b"), 0.0)
         )
         stats = svc.run()  # must drain without deadlock
@@ -175,7 +175,7 @@ class TestBackpressure:
         )
         load_basic(svc, "t")
         for i in range(5):
-            svc.submit(
+            svc.submit_request(
                 QueryRequest.bitwise(i, "t", "or", ("a", "b"), i * 1e-6)
             )
         stats = svc.run()
@@ -198,7 +198,7 @@ class TestBackpressure:
         )
         load_basic(svc, "t")
         for i in range(4):
-            svc.submit(QueryRequest.bitwise(i, "t", "or", ("a", "b"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(i, "t", "or", ("a", "b"), 0.0))
         stats = svc.run()
         assert stats.completed == 4
         assert stats.rejected == 0
@@ -223,7 +223,7 @@ class TestBackpressure:
         )
         load_basic(svc, "t")
         for i in range(10):
-            svc.submit(QueryRequest.bitwise(i, "t", "or", ("a", "b"), 0.0))
+            svc.submit_request(QueryRequest.bitwise(i, "t", "or", ("a", "b"), 0.0))
         stats = svc.run()
         assert stats.rejected > 0  # queue bound caught the flood
         assert stats.completed + stats.rejected == 10
@@ -234,7 +234,7 @@ class TestAccounting:
         svc = make_service(max_batch=4)
         load_basic(svc, "t")
         for i in range(6):
-            svc.submit(
+            svc.submit_request(
                 QueryRequest.bitwise(i, "t", "or", ("a", "b"), i * 1e-7)
             )
         stats = svc.run()
@@ -253,7 +253,7 @@ class TestAccounting:
     def test_summary_and_json_render(self):
         svc = make_service()
         load_basic(svc, "t")
-        svc.submit(QueryRequest.bitwise(1, "t", "or", ("a", "b"), 0.0))
+        svc.submit_request(QueryRequest.bitwise(1, "t", "or", ("a", "b"), 0.0))
         stats = svc.run()
         assert "ServiceStats" in stats.summary()
         assert '"completed": 1' in stats.to_json()

@@ -61,8 +61,8 @@ class TestUpdatePath:
         new_a = np.random.default_rng(1).integers(
             0, 2, N_BITS, dtype=np.uint8
         )
-        svc.submit(UpdateRequest(1, "t", "a", new_a, 0.0))
-        svc.submit(QueryRequest.bitwise(2, "t", "or", ("a", "b"), 1e-6))
+        svc.submit_request(UpdateRequest(1, "t", "a", new_a, 0.0))
+        svc.submit_request(QueryRequest.bitwise(2, "t", "or", ("a", "b"), 1e-6))
         stats = svc.run()
         assert stats.completed == 2
         assert stats.updates == 1
@@ -84,9 +84,9 @@ class TestUpdatePath:
         )
         # request 0 occupies the server; the read then the update arrive
         # while it runs and coalesce into the same second batch
-        svc.submit(QueryRequest.bitwise(0, "t", "inv", ("b",), 0.0))
-        svc.submit(QueryRequest.bitwise(1, "t", "or", ("a", "b"), 1e-9))
-        svc.submit(UpdateRequest(2, "t", "a", new_a, 2e-9))
+        svc.submit_request(QueryRequest.bitwise(0, "t", "inv", ("b",), 0.0))
+        svc.submit_request(QueryRequest.bitwise(1, "t", "or", ("a", "b"), 1e-9))
+        svc.submit_request(UpdateRequest(2, "t", "a", new_a, 2e-9))
         stats = svc.run()
         assert stats.completed == 3
         read, upd = _result(svc, 1), _result(svc, 2)
@@ -104,7 +104,7 @@ class TestUpdatePath:
         )
         for request, exc in ((bad_name, KeyError), (bad_size, ValueError)):
             try:
-                svc.submit(request)
+                svc.submit_request(request)
             except exc:
                 continue
             raise AssertionError(f"{request.vector!r} submit did not raise")
@@ -114,12 +114,12 @@ class TestStandingQueries:
     def test_snapshot_then_update_notifications(self):
         svc = make_service()
         v = load_basic(svc)
-        svc.submit(SubscribeRequest(10, "t", "xor", ("a", "b"), 0.0))
+        svc.submit_request(SubscribeRequest(10, "t", "xor", ("a", "b"), 0.0))
         new_a = np.random.default_rng(3).integers(
             0, 2, N_BITS, dtype=np.uint8
         )
         # arrives well after the subscription's initial evaluation
-        svc.submit(UpdateRequest(11, "t", "a", new_a, 1.0))
+        svc.submit_request(UpdateRequest(11, "t", "a", new_a, 1.0))
         stats = svc.run()
         assert stats.subscriptions == 1
         assert stats.updates == 1
@@ -141,11 +141,11 @@ class TestStandingQueries:
     def test_unrelated_update_does_not_notify(self):
         svc = make_service()
         load_basic(svc)
-        svc.submit(SubscribeRequest(10, "t", "xor", ("a", "b"), 0.0))
+        svc.submit_request(SubscribeRequest(10, "t", "xor", ("a", "b"), 0.0))
         new_c = np.random.default_rng(4).integers(
             0, 2, N_BITS, dtype=np.uint8
         )
-        svc.submit(UpdateRequest(11, "t", "c", new_c, 1.0))
+        svc.submit_request(UpdateRequest(11, "t", "c", new_c, 1.0))
         stats = svc.run()
         # only the seq-0 snapshot: the write touched no subscribed vector
         assert stats.notifications == 1
@@ -154,8 +154,8 @@ class TestStandingQueries:
     def test_fanout_bound_rejects_excess_subscriptions(self):
         svc = make_service(default_quota=TenantQuota(max_subscriptions=1))
         load_basic(svc)
-        svc.submit(SubscribeRequest(1, "t", "or", ("a", "b"), 0.0))
-        svc.submit(SubscribeRequest(2, "t", "and", ("b", "c"), 0.0))
+        svc.submit_request(SubscribeRequest(1, "t", "or", ("a", "b"), 0.0))
+        svc.submit_request(SubscribeRequest(2, "t", "and", ("b", "c"), 0.0))
         stats = svc.run()
         assert stats.subscriptions == 1
         rejected = [
