@@ -410,6 +410,26 @@ class CommandBatch:
         self.segments.extend([self._segment] * len(rows))
         self._open = True
 
+    def extend_batch(self, other) -> None:
+        """Append a fenced batch with numpy columns (a frozen program)
+        as segments of its own.
+
+        Fences first and offsets ``other``'s segment ids past this
+        batch's, so each appended segment serialises exactly as it
+        would in a separate :meth:`MemoryController.execute_batch`.
+        """
+        if not len(other):
+            return
+        self.fence()
+        base = self._segment
+        self.kinds.extend(other.kinds.tolist())
+        self.channels.extend(other.channels.tolist())
+        self.n_bits.extend(other.n_bits.tolist())
+        self.n_steps.extend(other.n_steps.tolist())
+        self.transfer_bytes.extend(other.transfer_bytes.tolist())
+        self.segments.extend((other.segments + base).tolist())
+        self._segment = base + other.n_segments
+
     def fence(self) -> None:
         """Close the current segment (a serialisation barrier)."""
         if self._open:

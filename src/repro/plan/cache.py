@@ -1,15 +1,18 @@
 """The sharded, write-invalidated sub-result cache.
 
-Entries are keyed by the planner's canonical expression string (op,
-vector length, canonicalised operand DAG -- see
-:mod:`repro.plan.planner`) and hold a packed copy of the result rows.
+Entries are keyed by the planner's canonical expression key, the
+tuple ``(op, n_bits, children)`` (see :mod:`repro.plan.planner`): each
+child is a leaf ``("L", frame bytes, version bytes)`` or a nested key of
+the same form.  An entry holds a packed copy of the result rows.
 Because every leaf of a key carries the *version* of its row frame at
 planning time, a stale entry can never be returned: any write to an
 operand row bumps that frame's version, so later lookups compute a
 different key.  Eager invalidation through :meth:`invalidate_frame`
 (driven by the memory's write listener and the allocator's free hook)
 exists to reclaim the bytes immediately and to make the invalidation
-observable (the ``plan.cache.invalidations`` counter).
+observable (the ``plan.cache.invalidations`` counter); delta repair
+(:mod:`repro.plan.repair`) pops the entries a write reaches, unpacks
+their keys and re-inserts what it can fix under the new versions.
 
 The store is sharded by key hash; each shard is an LRU dict with its
 slice of the byte budget, so eviction pressure in one shard never scans
@@ -19,7 +22,7 @@ the others.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +35,9 @@ _MISSES = telemetry.counter("plan.cache.misses")
 _EVICTIONS = telemetry.counter("plan.cache.evictions")
 _INVALIDATIONS = telemetry.counter("plan.cache.invalidations")
 
+#: a canonical expression key: ``(op value, n_bits, child keys)``
+CacheKey = Tuple[str, int, tuple]
+
 
 class CacheEntry:
     """One cached sub-result: packed rows plus its dependency frames."""
@@ -40,7 +46,7 @@ class CacheEntry:
 
     def __init__(
         self,
-        key: str,
+        key: CacheKey,
         rows: np.ndarray,
         n_bits: int,
         dep_frames: FrozenSet[int],
@@ -66,7 +72,7 @@ class SubResultCache:
         self._shards: List[OrderedDict] = [OrderedDict() for _ in range(shards)]
         self._shard_bytes = [0] * shards
         #: frame -> keys of entries whose expression reads that frame
-        self._frame_index: Dict[int, Set[str]] = {}
+        self._frame_index: Dict[int, Set[CacheKey]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -81,12 +87,12 @@ class SubResultCache:
     def bytes_used(self) -> int:
         return sum(self._shard_bytes)
 
-    def _shard_of(self, key: str) -> int:
+    def _shard_of(self, key: CacheKey) -> int:
         return hash(key) % self.n_shards
 
     # -- lookup / insert -----------------------------------------------------
 
-    def peek(self, key: str) -> Optional[CacheEntry]:
+    def peek(self, key: CacheKey) -> Optional[CacheEntry]:
         """Presence probe: no hit/miss tally, no LRU touch.
 
         The planner's resident-wave validation uses this to ask "would
@@ -95,7 +101,7 @@ class SubResultCache:
         """
         return self._shards[self._shard_of(key)].get(key)
 
-    def get(self, key: str) -> Optional[CacheEntry]:
+    def get(self, key: CacheKey) -> Optional[CacheEntry]:
         """LRU lookup; tallies the hit/miss."""
         i = self._shard_of(key)
         shard = self._shards[i]
@@ -111,7 +117,7 @@ class SubResultCache:
 
     def put(
         self,
-        key: str,
+        key: CacheKey,
         rows: np.ndarray,
         n_bits: int,
         dep_frames: Iterable[int],
@@ -190,7 +196,7 @@ class SubResultCache:
         index = self._frame_index
         if not index or index.keys().isdisjoint(frames):
             return []
-        keys: Set[str] = set()
+        keys: Set[CacheKey] = set()
         for frame in frames:
             hit = index.get(frame)
             if hit:

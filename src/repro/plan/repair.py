@@ -15,27 +15,31 @@ the cached op decides how to fix the packed result rows in place:
   new contents.  Chunks the write did not reach keep their cached
   value untouched.
 
-Either way the repair is priced through the real controller with the
-same per-step command templates a driver-issued bulk op uses
-(:meth:`PimExecutor._step_rows`), so simulated pricing stays honest.
-Before applying, the engine estimates repair vs. recomputing the whole
-entry from the live :class:`PriceTable`; when repair would be strictly
-worse -- e.g. an XOR whose every chunk took multiple deltas -- or the
-entry is out of repair's reach (nested sub-expression children,
-cross-channel operand placement), the entry falls back to plain
-invalidation and the fallback is counted.
+A write's popped entries are repaired as one batch.  Each entry is
+planned alone: its shape, then a cost gate estimating repair vs.
+recomputing the whole entry from the live :class:`PriceTable`.  An
+entry out of repair's reach, or whose repair would be strictly worse
+(e.g. an XOR whose every chunk took multiple deltas), falls back to
+invalidation, counted under its cause (:data:`FALLBACK_CAUSES`).  The
+rest share one functional pass and one command stream: each entry's
+program, built from the step templates a driver-issued bulk op uses
+(:meth:`PimExecutor._step_rows`), is appended in pop order behind a
+fence, each mode switch an MRS in a fenced segment of its own.
+Segment latencies add, so one ``execute_batch`` prices the write
+exactly as pricing each entry separately would.
 
-Repaired entries are re-inserted under their canonical key at the
-*new* write versions, so later lookups of the same expression hit
-directly; :class:`ProgramCache` integration freezes the repair command
-batch per shape (chunk widths, sense steps, localities, group fan-ins)
-so the compiled planner re-prices recurring repairs without rebuilding
-command rows.
+Repaired entries are re-inserted, in pop order, under their canonical
+key at the *new* write versions, so later lookups of the same
+expression hit directly; :class:`ProgramCache` integration freezes the
+repair command batch per shape (chunk widths, sense steps, localities,
+group fan-ins) so the compiled planner re-prices recurring repairs
+without rebuilding command rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from repro.memsim.controller import CommandBatch, CommandKind
 from repro.core.bitops import popcount_rows
 from repro.plan.compile import freeze_batch
 
-__all__ = ["RepairEngine"]
+__all__ = ["FALLBACK_CAUSES", "RepairEngine"]
 
 _REPAIRS = telemetry.counter("plan.repair.repairs")
 _FALLBACKS = telemetry.counter("plan.repair.fallback_invalidations")
@@ -55,25 +59,39 @@ _CHUNKS = telemetry.counter("plan.repair.chunks")
 #: simulated latency saved vs. recomputing the repaired entries
 _SAVED = telemetry.accumulator("plan.repair.sim_saved_s")
 
+#: why an entry falls back to invalidation (one counter each; they sum
+#: to ``plan.repair.fallback_invalidations``)
+FALLBACK_CAUSES = ("nested_child", "chunk_mismatch", "inter_chip", "cost_gate")
+_FALLBACK_BY_CAUSE = {
+    cause: telemetry.counter(f"plan.repair.fallback.{cause}")
+    for cause in FALLBACK_CAUSES
+}
+
 #: command code -> CommandKind (codes are enum-declaration indices)
 _KIND_OF = tuple(CommandKind)
+
+#: one entry's repair: per child its chunk frames and which chunks the
+#: write hit; the affected chunks; the shape; seconds saved vs. recompute
+_Plan = namedtuple("_Plan", "entry op rep_op frames hits aff shape saved")
 
 
 class RepairEngine:
     """Applies algebraic delta repair to entries popped from the cache.
 
-    Owned by one :class:`~repro.plan.planner.QueryPlanner`; state is a
-    pure cost memo plus the planner's program cache, so the engine is
+    Owned by one :class:`~repro.plan.planner.QueryPlanner`; state is
+    pure cost memos plus the planner's program cache, so the engine is
     safe to drive from the memory's write listener (it never writes
     main memory itself -- repairs land in the host-side cached rows).
     """
 
-    __slots__ = ("planner", "_cost_memo")
+    __slots__ = ("planner", "_cost_memo", "_recompute_memo")
 
     def __init__(self, planner):
         self.planner = planner
         #: (op, locality, channel, fanin, chunk_bits) -> serial seconds
         self._cost_memo: Dict[tuple, float] = {}
+        #: (op, n_bits, child frame bytes) -> whole-entry recompute seconds
+        self._recompute_memo: Dict[tuple, float] = {}
 
     # -- entry points --------------------------------------------------------
 
@@ -84,173 +102,174 @@ class RepairEngine:
         entries = cache.pop_frames(farr)
         if not entries:
             return
-        delta_map = {int(f): deltas[i] for i, f in enumerate(farr)}
-        fallbacks = 0
+        delta_map = dict(zip(farr.tolist(), deltas))
+        plans = []
         for entry in entries:
-            if not self._repair_entry(entry, farr, delta_map):
-                fallbacks += 1
-                planner.stats.repair_fallbacks += 1
+            plan = self._plan(entry, delta_map)
+            if isinstance(plan, str):
+                _FALLBACK_BY_CAUSE[plan].add()
+            else:
+                plans.append(plan)
+        fallbacks = len(entries) - len(plans)
+        with telemetry.span(
+            "plan.repair.apply", entries=len(plans), fallbacks=fallbacks
+        ) as sp:
+            if plans:
+                sp.add(chunks=self._apply(plans, delta_map))
         if fallbacks:
+            planner.stats.repair_fallbacks += fallbacks
             cache.tally_invalidations(fallbacks)
             _FALLBACKS.add(fallbacks)
 
-    # -- per-entry repair ----------------------------------------------------
+    # -- one batch per write -------------------------------------------------
 
-    def _repair_entry(self, entry, written: np.ndarray, delta_map) -> bool:
-        """Fix one popped entry in place; False -> caller invalidates."""
-        planner = self.planner
-        key = entry.key
-        if not (isinstance(key, tuple) and len(key) == 3):
-            return False
-        op_value, n_bits, children = key
-        if not children or any(
-            not (isinstance(ch, tuple) and len(ch) == 3 and ch[0] == "L")
-            for ch in children
-        ):
+    def _plan(self, entry, delta_map):
+        """One popped entry's :class:`_Plan`, or its fallback cause."""
+        op_value, n_bits, children = entry.key
+        if any(ch[0] != "L" for ch in children):
             # a child is itself a sub-expression: its leaf identity is
             # folded into the nested key, out of frame-delta reach
-            return False
+            return "nested_child"
+        n_chunks = entry.rows.shape[0]
+        frames = [np.frombuffer(ch[1], dtype=np.intp).tolist() for ch in children]
+        if any(len(fl) != n_chunks for fl in frames):
+            return "chunk_mismatch"
+        hits = [[f in delta_map for f in fl] for fl in frames]
+        aff = [c for c in range(n_chunks) if any(h[c] for h in hits)]
+        if not aff:  # pragma: no cover - the frame index is exact
+            return "chunk_mismatch"
         op = PimOp.parse(op_value)
-        rows = entry.rows
-        n_chunks = rows.shape[0]
-        child_frames = [
-            np.frombuffer(ch[1], dtype=np.intp) for ch in children
-        ]
-        if any(cf.size != n_chunks for cf in child_frames):
-            return False
-        masks = [np.isin(cf, written) for cf in child_frames]
-        touched = masks[0].copy()
-        for m in masks[1:]:
-            touched |= m
-        aff = np.nonzero(touched)[0]
-        if aff.size == 0:  # pragma: no cover - the frame index is exact
-            return False
-
-        memory = planner.memory
         linear = op is PimOp.XOR or op is PimOp.INV
         rep_op = PimOp.XOR if linear else op
+        # per affected chunk: (chunk_bits, groups); a group is one
+        # combine step: (fanin, channel, locality)
+        channel_of = self.planner.executor.mapper.channel_of
+        row_bits = self.planner.geometry.row_bits
+        shape = []
+        for c in aff:
+            if linear:
+                # one 2-operand XOR step per written (child, frame)
+                # occurrence: cached row ^= delta row
+                groups = tuple(
+                    (2, channel_of(fl[c]), OpLocality.INTRA_SUBARRAY)
+                    for fl, h in zip(frames, hits)
+                    if h[c]
+                )
+            else:
+                groups = self._chunk_groups(op, [fl[c] for fl in frames])
+                if groups is None:
+                    return "inter_chip"
+            shape.append((min(n_bits - c * row_bits, row_bits), groups))
+        repair_est = sum(
+            self._group_cost(rep_op, loc, ch, fanin, chunk_bits)
+            for chunk_bits, groups in shape
+            for fanin, ch, loc in groups
+        )
+        recompute_est = self._recompute_estimate(op, n_bits, children, frames)
+        if repair_est > recompute_est:
+            return "cost_gate"
+        return _Plan(
+            entry, op, rep_op, frames, hits, aff, shape,
+            recompute_est - repair_est,
+        )
+
+    def _apply(self, plans, delta_map) -> int:
+        """Repair every planned entry with one functional pass, one priced
+        batch and one accounting merge; returns the repaired chunks."""
+        planner = self.planner
 
         # -- new contents of the touched chunks (functional model) ----------
-        if linear:
-            new_aff = rows[aff].copy()
-            for cf, mask in zip(child_frames, masks):
-                sub = np.nonzero(mask[aff])[0]
-                if sub.size == 0:
-                    continue
-                dstack = np.stack(
-                    [delta_map[int(f)] for f in cf[aff[sub]]]
-                )
-                new_aff[sub] ^= dstack
-        else:
-            lists = [cf[aff] for cf in child_frames]
-            if len(lists) == 1:
-                new_aff = memory.gather_rows(lists[0])
+        old = [p.entry.rows[p.aff] for p in plans]
+        new = [None] * len(plans)
+        by_arity: Dict[tuple, List[int]] = {}
+        for i, p in enumerate(plans):
+            if p.rep_op is not PimOp.XOR:  # AND / OR
+                by_arity.setdefault((p.op.value, len(p.frames)), []).append(i)
+                continue
+            new[i] = old[i].copy()
+            for fl, h in zip(p.frames, p.hits):
+                for j, c in enumerate(p.aff):
+                    if h[c]:
+                        new[i][j] ^= delta_map[fl[c]]
+        for (op_value, n_ops), members in by_arity.items():
+            lists = [
+                [plans[i].frames[k][c] for i in members for c in plans[i].aff]
+                for k in range(n_ops)
+            ]
+            if n_ops == 1:
+                stacked = planner.memory.gather_rows(lists[0])
             else:
-                new_aff = memory.bitwise_rows(op.value, lists)
-        wb_widths = popcount_rows(np.bitwise_xor(rows[aff], new_aff))
-
-        # -- per-chunk repair shape: (chunk_bits, groups) --------------------
-        # a group is one combine step: (fanin, channel, locality)
-        shape = self._repair_shape(
-            op, rep_op, n_bits, child_frames, masks, aff, delta_map
+                stacked = planner.memory.bitwise_rows(op_value, lists)
+            bounds = np.cumsum([len(plans[i].aff) for i in members])
+            for i, part in zip(members, np.split(stacked, bounds[:-1])):
+                new[i] = part
+        wb_widths = popcount_rows(
+            np.bitwise_xor(np.concatenate(old), np.concatenate(new))
         )
-        if shape is None:
-            return False
 
-        # -- cost-model gate: repair vs whole-entry recompute ----------------
-        repair_est = 0.0
-        for chunk_bits, groups in shape:
-            for fanin, ch, loc in groups:
-                repair_est += self._group_cost(
-                    rep_op, loc, ch, fanin, chunk_bits
-                )
-        recompute_est = self._recompute_estimate(op, n_bits, child_frames)
-        if repair_est > recompute_est:
-            return False
-
-        # -- execute the repair through the real controller ------------------
+        # -- one priced command stream, one accounting merge -----------------
         acct = OpAccounting()
         executor = planner.executor
-        with telemetry.span(
-            "plan.repair.apply", op=op.value, chunks=int(aff.size)
-        ):
-            executor._set_mode(rep_op, acct)
-            frozen, wb_positions = self._program(rep_op, shape)
-            wb_values = self._wb_values(shape, wb_widths)
+        sink = CommandBatch()
+        pos = 0
+        for p in plans:
+            executor._set_mode(p.rep_op, acct, sink)
+            frozen, wb_positions = self._program(p.rep_op, p.shape)
             if wb_positions.size:
-                frozen.n_bits[wb_positions] = wb_values
-            acct.absorb(executor.controller.execute_batch(frozen))
-        affected_bits = sum(chunk_bits for chunk_bits, _ in shape)
-        acct.count_bits(affected_bits)
-        acct.count_step(sum(len(groups) for _, groups in shape))
+                frozen.n_bits[wb_positions] = self._wb_values(
+                    p.shape, wb_widths[pos:pos + len(p.aff)]
+                )
+            sink.extend_batch(frozen)
+            pos += len(p.aff)
+            acct.count_bits(sum(chunk_bits for chunk_bits, _ in p.shape))
+            acct.count_step(sum(len(groups) for _, groups in p.shape))
+        acct.absorb(executor.controller.execute_batch(sink))
         driver = planner.driver
         driver.stats.accounting = driver.stats.accounting.merged(acct)
 
         # -- re-insert under the canonical key at the new versions -----------
         versions = planner._versions
-        new_children: List[tuple] = []
-        for ch_key, cf, mask in zip(children, child_frames, masks):
-            if mask.any():
-                new_children.append(("L", ch_key[1], versions[cf].tobytes()))
-            else:
-                new_children.append(ch_key)
-        if op is PimOp.OR or op is PimOp.AND:
-            new_children = sorted(set(new_children))
-        elif op is PimOp.XOR:
-            new_children = sorted(new_children)
-        new_key = (op_value, n_bits, tuple(new_children))
-        new_rows = rows.copy()
-        new_rows[aff] = new_aff
-        planner.cache.put(new_key, new_rows, n_bits, entry.dep_frames)
+        for p, new_aff in zip(plans, new):
+            op_value, n_bits, children = p.entry.key
+            new_children = [
+                ("L", ch_key[1], versions[fl].tobytes()) if any(h) else ch_key
+                for ch_key, fl, h in zip(children, p.frames, p.hits)
+            ]
+            if p.op is PimOp.OR or p.op is PimOp.AND:
+                new_children = sorted(set(new_children))
+            elif p.op is PimOp.XOR:
+                new_children = sorted(new_children)
+            new_rows = p.entry.rows.copy()
+            new_rows[p.aff] = new_aff
+            planner.cache.put(
+                (op_value, n_bits, tuple(new_children)),
+                new_rows, n_bits, p.entry.dep_frames,
+            )
 
         stats = planner.stats
-        stats.repairs += 1
-        stats.repaired_chunks += int(aff.size)
+        saved = sum(p.saved for p in plans)
+        stats.repairs += len(plans)
+        stats.repaired_chunks += pos
         stats.repair_latency_s += acct.latency
         stats.repair_energy_j += acct.energy
-        saved = recompute_est - repair_est
         stats.repair_saved_s += saved
-        _REPAIRS.add()
-        _CHUNKS.add(int(aff.size))
+        _REPAIRS.add(len(plans))
+        _CHUNKS.add(pos)
         _SAVED.add(saved)
-        return True
+        return pos
 
     # -- shape / cost helpers ------------------------------------------------
 
-    def _repair_shape(
-        self, op, rep_op, n_bits, child_frames, masks, aff, delta_map
-    ) -> Optional[List[Tuple[int, tuple]]]:
-        """Per affected chunk: ``(chunk_bits, ((fanin, channel, locality),
-        ...))``; ``None`` when any chunk cannot execute in memory."""
-        planner = self.planner
-        mapper = planner.executor.mapper
-        channel_of = mapper.channel_of
-        row_bits = planner.geometry.row_bits
-        linear = op is PimOp.XOR or op is PimOp.INV
-        shape: List[Tuple[int, tuple]] = []
-        for c in aff:
-            c = int(c)
-            chunk_bits = min(n_bits - c * row_bits, row_bits)
-            if linear:
-                # one 2-operand XOR step per written (child, frame)
-                # occurrence: cached row ^= delta row
-                groups = tuple(
-                    (2, channel_of(int(cf[c])), OpLocality.INTRA_SUBARRAY)
-                    for cf, mask in zip(child_frames, masks)
-                    if mask[c]
-                )
-            else:
-                frames = [int(cf[c]) for cf in child_frames]
-                loc = mapper.classify_frames(frames)
-                if loc is OpLocality.INTER_CHIP:
-                    return None
-                ch = channel_of(frames[0])
-                groups = tuple(
-                    (fanin, ch, loc)
-                    for fanin in self._group_fanins(op, len(frames), loc)
-                )
-            shape.append((chunk_bits, groups))
-        return shape
+    def _chunk_groups(self, op, chunk_frames) -> Optional[tuple]:
+        """Combine steps of recomputing one chunk in memory; ``None``
+        when its operands span chips."""
+        mapper = self.planner.executor.mapper
+        loc = mapper.classify_frames(chunk_frames)
+        if loc is OpLocality.INTER_CHIP:
+            return None
+        ch = mapper.channel_of(chunk_frames[0])
+        fanins = self._group_fanins(op, len(chunk_frames), loc)
+        return tuple((fanin, ch, loc) for fanin in fanins)
 
     def _group_fanins(self, op, n_ops: int, locality) -> tuple:
         """Combine-step fan-ins of one chunk, mirroring
@@ -289,24 +308,27 @@ class RepairEngine:
             self._cost_memo[key] = cost
         return cost
 
-    def _recompute_estimate(self, op, n_bits, child_frames) -> float:
-        """Cost of recomputing the whole entry with the same templates."""
-        planner = self.planner
-        mapper = planner.executor.mapper
-        row_bits = planner.geometry.row_bits
-        n_chunks = child_frames[0].size
-        n_ops = len(child_frames)
+    def _recompute_estimate(self, op, n_bits, children, frames) -> float:
+        """Cost of recomputing the whole entry with the same templates
+        (a pure function of geometry, op, width and child frames)."""
+        key = (op, n_bits, tuple(ch[1] for ch in children))
+        total = self._recompute_memo.get(key)
+        if total is not None:
+            return total
+        row_bits = self.planner.geometry.row_bits
         total = 0.0
-        for c in range(n_chunks):
-            chunk_bits = min(n_bits - c * row_bits, row_bits)
-            frames = [int(cf[c]) for cf in child_frames]
-            loc = mapper.classify_frames(frames)
-            if loc is OpLocality.INTER_CHIP:
+        for c in range(len(frames[0])):
+            groups = self._chunk_groups(op, [fl[c] for fl in frames])
+            if groups is None:
                 # recompute could not run in memory either; repair wins
-                return float("inf")
-            ch = mapper.channel_of(frames[0])
-            for fanin in self._group_fanins(op, n_ops, loc):
+                total = float("inf")
+                break
+            chunk_bits = min(n_bits - c * row_bits, row_bits)
+            for fanin, ch, loc in groups:
                 total += self._group_cost(op, loc, ch, fanin, chunk_bits)
+        if len(self._recompute_memo) >= 1 << 14:  # keys embed frames
+            self._recompute_memo.clear()
+        self._recompute_memo[key] = total
         return total
 
     # -- program cache -------------------------------------------------------
@@ -319,8 +341,8 @@ class RepairEngine:
         change, e.g. a different SA mux, can never replay a stale
         program), localities, channels, group fan-ins.  The frozen
         batch's ``n_bits`` column is patched with the differential
-        write-back widths before every pricing pass, exactly like the
-        wave programs' write-backs.
+        write-back widths before it joins the write's batch, exactly
+        like the wave programs' write-backs.
         """
         planner = self.planner
         geometry = planner.geometry

@@ -8,14 +8,19 @@ interaction under repair, the ProgramCache's geometry-staleness guard,
 and the interpreted/compiled pricing parity of the repair path.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.core.pinatubo import PinatuboSystem
+from repro.memsim.address import RowAddress
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.plan.cache import SubResultCache
+from repro.plan.repair import FALLBACK_CAUSES
+from repro.runtime.allocator import BitVectorHandle
 from repro.runtime.api import PimRuntime
 
 GEOM = MemoryGeometry(
@@ -135,7 +140,8 @@ class TestRepairCorrectness:
     def test_nested_child_falls_back_to_invalidation(self):
         """An entry whose child is itself a sub-expression is out of
         frame-delta reach: the write must invalidate it (counted as a
-        fallback) while still repairing the leaf-level entry."""
+        fallback, under the ``nested_child`` cause) while still
+        repairing the leaf-level entry."""
         rt = _runtime()
         (a, b, c), (ba, bb, bc) = _loaded(rt)
         p1, out = rt.pim_malloc(N), rt.pim_malloc(N)
@@ -143,6 +149,16 @@ class TestRepairCorrectness:
         rt.pim_op("and", out, [p1, c])  # caches and(or(a, b), c)
         assert len(rt.planner.cache) == 2
 
+        def causes():
+            return {
+                cause: telemetry.counter(f"plan.repair.fallback.{cause}").value
+                for cause in FALLBACK_CAUSES
+            }
+
+        causes0 = causes()
+        fallbacks0 = telemetry.counter(
+            "plan.repair.fallback_invalidations"
+        ).value
         row = np.random.default_rng(17).integers(
             0, 2, GEOM.row_bits, dtype=np.uint8
         )
@@ -154,6 +170,15 @@ class TestRepairCorrectness:
         assert stats.repair_fallbacks == 1  # the nested and(...)
         assert rt.planner.cache.invalidations == 1
         assert len(rt.planner.cache) == 1
+        moved = {k: v - causes0[k] for k, v in causes().items()}
+        assert moved == {
+            "nested_child": 1, "chunk_mismatch": 0, "inter_chip": 0,
+            "cost_gate": 0,
+        }
+        fallbacks = telemetry.counter(
+            "plan.repair.fallback_invalidations"
+        ).value - fallbacks0
+        assert sum(moved.values()) == fallbacks == 1
 
         d2 = rt.pim_malloc(N)
         rt.pim_op("or", d2, [a, b])
@@ -363,6 +388,112 @@ class TestRepairPricingParity:
         assert bits_i == bits_c
         assert lat_c == pytest.approx(lat_i, rel=1e-9)
         assert en_c == pytest.approx(en_i, rel=1e-9)
+
+
+class TestMultiEntryWritePricing:
+    """One host write repairs seven cached entries of every op (AND,
+    OR, XOR and INV, so the mode register switches four times inside
+    the write) and invalidates one nested entry.  The write's
+    accounting delta is pinned to values recorded when every entry was
+    priced by its own ``execute_batch``: pricing the write as one batch
+    must not move any of them.  Every vector lives on channel 1 while
+    the MRS issues on channel 0, so an MRS that shared a segment with
+    repair commands would overlap them and shorten the latency."""
+
+    LATENCY_S = 2.0353000000000023e-06
+    ENERGY_J = 6.521029999999992e-09
+    ENERGY_BY_KIND = {
+        "act": 2.1504e-11,
+        "act_extra": 2.4576e-11,
+        "pim_sense": 8.192000000000006e-10,
+        "pim_writeback": 5.514749999999993e-09,
+        "pre": 2.1000000000000018e-11,
+        "wl_reset": 2.1000000000000018e-11,
+    }
+
+    @staticmethod
+    def _write_delta(compile_):
+        geom2 = MemoryGeometry(
+            channels=2,
+            ranks_per_channel=1,
+            chips_per_rank=1,
+            banks_per_chip=4,
+            subarrays_per_bank=16,
+            rows_per_subarray=64,
+            mats_per_subarray=1,
+            cols_per_mat=1024,
+            mux_ratio=8,
+        )
+        rt = _runtime(geometry=geom2, compile=compile_)
+        ids = itertools.count()
+
+        def alloc():
+            # vector v's chunk c on row 3v + c of one channel-1 subarray
+            v = next(ids)
+            frames = tuple(
+                rt.system.mapper.encode(RowAddress(1, 0, 0, 0, 3 * v + c))
+                for c in range(3)
+            )
+            return BitVectorHandle(vid=1000 + v, n_bits=N, frames=frames)
+
+        rng = np.random.default_rng(43)
+        a, b, c, d = (alloc() for _ in range(4))
+        for h in (a, b, c, d):
+            rt.pim_write(h, rng.integers(0, 2, N, dtype=np.uint8))
+        p1 = alloc()
+        rt.pim_op("or", p1, [a, b])
+        rt.pim_op("and", alloc(), [p1, c])  # nested: falls back
+        for op, srcs in (
+            ("and", [a, b]),
+            ("and", [a, c]),
+            ("or", [a, c, d]),
+            ("xor", [a, b]),
+            ("inv", [a]),
+            ("xor", [b, a, d]),
+        ):
+            rt.pim_op(op, alloc(), srcs)
+        stats = rt.plan_stats
+        before = rt.pim_accounting
+        s0 = (stats.repairs, stats.repair_fallbacks, stats.repaired_chunks,
+              stats.repair_latency_s, stats.repair_energy_j)
+        row = np.random.default_rng(47).integers(
+            0, 2, GEOM.row_bits, dtype=np.uint8
+        )
+        rt.pim_write(a, row)
+        after = rt.pim_accounting
+        by_kind = {
+            kind.value: e - before.energy_by_kind.get(kind, 0.0)
+            for kind, e in after.energy_by_kind.items()
+        }
+        return rt, before, after, by_kind, s0
+
+    @pytest.mark.parametrize("compile_", [False, True])
+    def test_write_prices_like_per_entry_sum(self, compile_):
+        rt, before, after, by_kind, s0 = self._write_delta(compile_)
+        assert after.latency - before.latency == pytest.approx(
+            self.LATENCY_S, rel=1e-9
+        )
+        assert after.energy - before.energy == pytest.approx(
+            self.ENERGY_J, rel=1e-9
+        )
+        assert {k: e for k, e in by_kind.items() if e} == pytest.approx(
+            self.ENERGY_BY_KIND, rel=1e-9
+        )
+        assert after.bus_data_bytes - before.bus_data_bytes == 0
+        assert after.bus_commands - before.bus_commands == 33
+        assert after.in_memory_steps - before.in_memory_steps == 7
+        assert after.bits_processed - before.bits_processed == 7168
+
+        stats = rt.plan_stats
+        assert stats.repairs - s0[0] == 7
+        assert stats.repair_fallbacks - s0[1] == 1
+        assert stats.repaired_chunks - s0[2] == 7
+        assert stats.repair_latency_s - s0[3] == pytest.approx(
+            self.LATENCY_S, rel=1e-9
+        )
+        assert stats.repair_energy_j - s0[4] == pytest.approx(
+            self.ENERGY_J, rel=1e-9
+        )
 
 
 class TestServeReplayCounterAlias:
