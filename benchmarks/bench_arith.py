@@ -111,9 +111,12 @@ def _stream(pool: list, repeats: int, seed: int = 29) -> list:
 def _build_table(
     data: dict, plan: bool, compile_: bool, analytics: bool = False
 ) -> AnalyticsTable:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     runtime = PimRuntime(system, plan=plan, compile=compile_)
-    table = AnalyticsTable(runtime, N_ROWS, compile_analytics=analytics)
+    table = AnalyticsTable(runtime, N_ROWS)
+    if not analytics:
+        # whole-query compilation off: the arm isolates the wave compiler
+        table.compiler.enabled = False
     table.load_column("age", data["age"], 6)
     table.load_column("income", data["income"], VALUE_BITS)
     table.load_index("region", data["region"], N_BINS)

@@ -88,7 +88,7 @@ def _spec(n_requests: int) -> ServiceLoadSpec:
 
 def _engine(_node_id: int = 0) -> ResidentPimEngine:
     runtime = PimRuntime(
-        PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True),
+        PinatuboSystem(get_technology("pcm"), GEOM),
         policy=PlacementPolicy.BANK_SPREAD,
     )
     return ResidentPimEngine(SYSTEM, runtime=runtime)

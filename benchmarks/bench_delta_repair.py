@@ -9,15 +9,16 @@ chunk of every multi-chunk cached sub-result reading it.
 
 Three identical planned runtimes play the same stream:
 
-- *invalidate*: ``PimRuntime(plan=True, repair=False)`` -- the PR-6
+- *invalidate*: ``PimRuntime(plan=True)`` with the planner declining
+  every write delta (``planner.wants_delta`` returns False) -- the PR-6
   semantics: the write drops every dependent cache entry, the next read
   of each dirtied query re-executes all of its chunks in memory;
-- *repair (interpreted)*: ``repair=True, compile=False`` -- the write's
+- *repair (interpreted)*: ``compile=False`` -- the write's
   delta (``old XOR new``, one row) repairs each dependent entry in
   place: one 2-operand XOR per dirtied chunk for linear ops, a
   delta-masked recompute of only the dirtied chunk for AND/OR, priced
   through the real controller; every following read is a cache hit;
-- *repair (compiled)*: ``repair=True, compile=True`` -- the same
+- *repair (compiled)*: ``compile=True`` -- the same
   repairs replayed as frozen repair programs out of the ProgramCache.
 
 All arms must answer byte-identically to a live numpy mirror (the
@@ -151,8 +152,12 @@ def _run_arm(pool, events, repair: bool, compile_: bool) -> dict:
     still issued on every read, and every result is compared
     byte-for-byte against the live numpy mirror).
     """
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
-    rt = PimRuntime(system, plan=True, compile=compile_, repair=repair)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
+    rt = PimRuntime(system, plan=True, compile=compile_)
+    if not repair:
+        # invalidate arm: no delta is captured, so every write drops
+        # the cached entries that read it
+        rt.planner.wants_delta = lambda frames: False
     data_rng = np.random.default_rng(101)
     handles, mirror = [], []
     for _ in range(N_VECTORS):

@@ -104,7 +104,7 @@ COLUMNS = (
 
 
 def _build_db(table, plan: bool, compile_: bool = True) -> PimFastBit:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     runtime = PimRuntime(system, plan=plan, compile=compile_)
     return PimFastBit(runtime, table)
 

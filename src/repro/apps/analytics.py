@@ -23,9 +23,9 @@ On a planned+compiled runtime the table additionally runs the
 the honesty rules): a repeated query *shape* compiles into a program
 keyed by structure with the comparison constants as runtime
 parameters, and steady-state repeats replay with zero planner work --
-same answers, same simulated pricing, ~none of the Python.
-``compile_analytics=False`` is the escape hatch back to per-call
-kernel interpretation.
+same answers, same simulated pricing, ~none of the Python.  The
+compiler follows the planner's ``compile`` switch: a
+``PimRuntime(..., compile=False)`` table interprets every call.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class AnalyticsTable:
         runtime,
         n_rows: int,
         group: str = "analytics",
-        compile_analytics: bool = True,
     ):
         if n_rows < 1:
             raise ValueError("n_rows must be >= 1")
@@ -135,8 +134,6 @@ class AnalyticsTable:
         #: whole-query program compiler; self-disables on unplanned /
         #: uncompiled runtimes (``enabled`` False -> pure interpretation)
         self.compiler = AnalyticsCompiler(runtime)
-        if not compile_analytics:
-            self.compiler.enabled = False
 
     # -- loading -------------------------------------------------------------
 

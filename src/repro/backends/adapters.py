@@ -172,8 +172,8 @@ class PinatuboBackend(BulkBitwiseBackend):
         declarative config: ``PimRuntime.from_config`` routes here
         through :func:`repro.backends.build_system`, so the registry is
         the single source of truth for how a config becomes a system.
-        ``kwargs`` (``plan``/``plan_cache_bytes``/``compile``/``repair``)
-        pass through to the :class:`PimRuntime` constructor.
+        ``kwargs`` (``plan``/``plan_cache_bytes``/``compile``) pass
+        through to the :class:`PimRuntime` constructor.
         """
         from repro.core.pinatubo import PinatuboSystem
         from repro.runtime.api import PimRuntime
@@ -242,7 +242,7 @@ class PinatuboBackend(BulkBitwiseBackend):
             dest = rt.pim_malloc(n_bits, "backend")
             rt.driver.submit(op, dest, sources, n_bits)
             staged.append((op, dest, sources, n_bits))
-        results = rt.driver.flush(batched=True)
+        results = rt.driver.flush()
 
         runs = []
         for (op, dest, sources, n_bits), result in zip(staged, results):

@@ -87,8 +87,6 @@ class SystemConfig:
     max_rows: Optional[int] = None
     #: OS placement policy for functional runtimes
     placement: str = "pim_aware"
-    #: batched command-stream pricing (PR 1 engine) on functional paths
-    batch_commands: bool = True
     #: main memory the host CPU pairs with: "dram" when compared against
     #: S-DRAM, an NVM technology name against AC-PIM/Pinatubo (paper 6.1)
     cpu_memory: str = "dram"

@@ -28,16 +28,15 @@ multi-chunk vector (longer than one rank row) executes its chunks
 serially -- the paper's "bit-vectors longer than 2^19 have to be mapped to
 multiple ranks that work in serial" (Fig. 9 turning point B).
 
-Command pricing is **batched**: by default every logical operation
-(covering all its chunks and accumulation passes) is emitted as one
+Command pricing is **batched**: every logical operation (covering all
+its chunks and accumulation passes) is emitted as one
 :class:`~repro.memsim.controller.CommandBatch` and priced with a single
 vectorized :meth:`~repro.memsim.controller.MemoryController.execute_batch`
-call, with fences preserving the serial semantics chunk-for-chunk.
-``batch_commands=False`` keeps the original one-``execute``-per-step
-path; both produce identical accounting (the equivalence is locked by
-``tests/core/test_batch_equivalence.py``).  :meth:`PinatuboExecutor.
-bitwise_many` goes one further and prices a whole stream of operations
-as one marked batch, splitting the stats per operation afterwards.
+call, with fences preserving the serial semantics chunk-for-chunk
+(``tests/core/test_batch_equivalence.py`` pins the resulting pricing).
+:meth:`PinatuboExecutor.bitwise_many` goes one further and prices a
+whole stream of operations as one marked batch, splitting the stats per
+operation afterwards.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.core.stats import OpAccounting
 from repro.memsim.address import AddressMapper, OpLocality
 from repro.memsim.controller import (
     KIND_CODES as _CODE,
-    Command,
     CommandBatch,
     CommandKind,
     MemoryController,
@@ -67,10 +65,6 @@ from repro.nvm.technology import NVMTechnology, get_technology
 class PlacementError(RuntimeError):
     """Operands placed so the operation cannot execute in memory."""
 
-
-#: kind per integer code -- decodes cached command-template rows back
-#: into :class:`Command` objects on the legacy per-step path
-_KINDS = tuple(CommandKind)
 
 #: MR4 mode codes per PIM operation (paper Fig. 4 hardware control).
 MODE_CODES = {PimOp.OR: 0b001, PimOp.AND: 0b010, PimOp.XOR: 0b011, PimOp.INV: 0b100}
@@ -111,7 +105,6 @@ class PinatuboExecutor:
         memory: Optional[MainMemory] = None,
         controller: Optional[MemoryController] = None,
         max_rows: Optional[int] = None,
-        batch_commands: bool = True,
     ):
         self.geometry = geometry
         self.technology = technology or get_technology("pcm")
@@ -120,14 +113,11 @@ class PinatuboExecutor:
         self.controller = controller or MemoryController(geometry, self.timing)
         self.mapper = AddressMapper(geometry)
         self.limits: OperandLimits = operand_limits(self.technology, max_rows)
-        #: price each logical operation as one vectorized command batch
-        #: (False restores the per-combine-step ``execute`` path)
-        self.batch_commands = batch_commands
         self._current_mode: Optional[PimOp] = None
         #: combine-step command templates, see :meth:`_step_rows`
         self._step_templates: Dict[tuple, tuple] = {}
-        #: when set (a list), the batched paths append their finished
-        #: command batches as ``(flavor, batch)`` tuples so the kernel
+        #: when set (a list), every bulk op appends its finished command
+        #: batch as a ``(flavor, batch)`` tuple so the kernel
         #: compiler (:mod:`repro.plan.compile`) can freeze them
         self.record_sink: Optional[list] = None
 
@@ -136,9 +126,11 @@ class PinatuboExecutor:
     def write_vector(self, frames: Sequence[int], bits: np.ndarray) -> OpAccounting:
         """Host write of a bit-vector into its row frames (over the bus)."""
         bits = np.asarray(bits, dtype=np.uint8)
-        acct = OpAccounting()
         g = self.geometry
-        batch = CommandBatch() if self.batch_commands else None
+        if bits.size > len(frames) * g.row_bits:
+            raise ValueError("frames do not cover n_bits")
+        acct = OpAccounting()
+        batch = CommandBatch()
         for i, frame in enumerate(frames):
             chunk = bits[i * g.row_bits : (i + 1) * g.row_bits]
             if chunk.size == 0:
@@ -146,20 +138,12 @@ class PinatuboExecutor:
             self.memory.write_bits(frame, chunk)
             ch = self.mapper.channel_of(frame)
             n_bytes = -(-chunk.size // 8)
-            if batch is None:
-                acct.absorb(self.controller.execute([
-                    Command(CommandKind.ACT, channel=ch, n_bits=chunk.size),
-                    Command(CommandKind.WR, channel=ch, n_bits=chunk.size,
-                            transfer_bytes=n_bytes),
-                    Command(CommandKind.PRE, channel=ch),
-                ]))
-            else:
-                batch.add(CommandKind.ACT, channel=ch, n_bits=chunk.size)
-                batch.add(CommandKind.WR, channel=ch, n_bits=chunk.size,
-                          transfer_bytes=n_bytes)
-                batch.add(CommandKind.PRE, channel=ch)
-                batch.fence()  # frames serialise, as per-frame execute did
-        if batch is not None and len(batch):
+            batch.add(CommandKind.ACT, channel=ch, n_bits=chunk.size)
+            batch.add(CommandKind.WR, channel=ch, n_bits=chunk.size,
+                      transfer_bytes=n_bytes)
+            batch.add(CommandKind.PRE, channel=ch)
+            batch.fence()  # frames serialise
+        if len(batch):
             acct.absorb(self.controller.execute_batch(batch))
         return acct
 
@@ -173,36 +157,26 @@ class PinatuboExecutor:
         g = self.geometry
         parts = []
         remaining = n_bits
-        batch = CommandBatch() if self.batch_commands else None
+        batch = CommandBatch()
         for frame in frames:
             take = min(remaining, g.row_bits)
             parts.append(self.memory.read_bits(frame, take))
             ch = self.mapper.channel_of(frame)
             steps = g.sense_steps_for_bits(take)
             n_bytes = -(-take // 8)
-            if batch is None:
-                acct.absorb(self.controller.execute([
-                    Command(CommandKind.ACT, channel=ch, n_bits=take),
-                    Command(CommandKind.PIM_SENSE, channel=ch,
-                            n_steps=steps, n_bits=take),
-                    Command(CommandKind.RD, channel=ch, n_bits=take,
-                            transfer_bytes=n_bytes),
-                    Command(CommandKind.PRE, channel=ch),
-                ]))
-            else:
-                batch.add(CommandKind.ACT, channel=ch, n_bits=take)
-                batch.add(CommandKind.PIM_SENSE, channel=ch,
-                          n_steps=steps, n_bits=take)
-                batch.add(CommandKind.RD, channel=ch, n_bits=take,
-                          transfer_bytes=n_bytes)
-                batch.add(CommandKind.PRE, channel=ch)
-                batch.fence()
+            batch.add(CommandKind.ACT, channel=ch, n_bits=take)
+            batch.add(CommandKind.PIM_SENSE, channel=ch,
+                      n_steps=steps, n_bits=take)
+            batch.add(CommandKind.RD, channel=ch, n_bits=take,
+                      transfer_bytes=n_bytes)
+            batch.add(CommandKind.PRE, channel=ch)
+            batch.fence()
             remaining -= take
             if remaining <= 0:
                 break
         if remaining > 0:
             raise ValueError("frames do not cover n_bits")
-        if batch is not None and len(batch):
+        if len(batch):
             acct.absorb(self.controller.execute_batch(batch))
         return np.concatenate(parts), acct
 
@@ -245,19 +219,14 @@ class PinatuboExecutor:
         with telemetry.span(
             "core.executor.bitwise", op=op.value, n_bits=n_bits
         ) as sp:
-            if self.batch_commands:
-                sink: Union[CommandBatch, list, None] = CommandBatch()
-            else:
-                sink = [] if overlap_chunks else None
+            batch = CommandBatch()
             total_steps, acct, localities = self._bitwise_into(
-                sink, op, dest, sources, n_bits, n_chunks, overlap_chunks
+                batch, op, dest, sources, n_bits, n_chunks, overlap_chunks,
+                self._prevalidate_placement(dest, sources, n_chunks),
             )
-            if isinstance(sink, CommandBatch):
-                acct.absorb(self.controller.execute_batch(sink))
-                if self.record_sink is not None:
-                    self.record_sink.append(("single", sink))
-            elif sink:
-                acct.absorb(self.controller.execute(sink))
+            acct.absorb(self.controller.execute_batch(batch))
+            if self.record_sink is not None:
+                self.record_sink.append(("single", batch))
             acct.count_bits(n_bits * len(sources))
             sp.add(steps=total_steps)
             return OpResult(
@@ -290,11 +259,6 @@ class PinatuboExecutor:
                 self._validate_request(op, dest_frames, source_frame_lists, n_bits)
                 + (n_bits, overlap)
             )
-        if not self.batch_commands:
-            return [
-                self.bitwise(op, dest, sources, n_bits, overlap)
-                for op, dest, sources, _, n_bits, overlap in parsed
-            ]
         chunk_locs = [
             self._prevalidate_placement(dest, sources, n_chunks)
             for op, dest, sources, n_chunks, n_bits, _ in parsed
@@ -355,20 +319,18 @@ class PinatuboExecutor:
         with telemetry.span(
             "core.executor.bitwise_to_host", op=op.value, n_bits=n_bits
         ) as sp:
-            sink = CommandBatch() if self.batch_commands else None
-
+            batch = CommandBatch()
+            chunk_localities = self._prevalidate_placement(scratch, sources, n_chunks)
             acct = OpAccounting()
             localities: Dict[OpLocality, int] = {}
-            bits = None
-            fast_path = False
-            if isinstance(sink, CommandBatch):
-                vectorized = self._vector_chunks_to_host(
-                    sink, op, scratch, sources, n_bits, n_chunks, acct, localities
-                )
-                if vectorized is not None:
-                    bits, total_steps = vectorized
-                    fast_path = True
-            if bits is None:
+            vectorized = self._vector_chunks_to_host(
+                batch, op, scratch, sources, n_bits, n_chunks, chunk_localities,
+                acct, localities,
+            )
+            fast_path = vectorized is not None
+            if fast_path:
+                bits, total_steps = vectorized
+            else:
                 total_steps = 0
                 parts = []
                 row_bits = self.geometry.row_bits
@@ -378,17 +340,17 @@ class PinatuboExecutor:
                     host_chunks: List[np.ndarray] = []
                     total_steps += self._chunk_bitwise(
                         op, scratch[c], chunk_sources, chunk_bits, acct, localities,
-                        sink, emit_host=True, host_chunks=host_chunks,
+                        batch, chunk_localities[c], emit_host=True,
+                        host_chunks=host_chunks,
                     )
                     packed = host_chunks[-1]
                     parts.append(
                         np.unpackbits(packed, bitorder="little")[:chunk_bits]
                     )
                 bits = np.concatenate(parts)
-            if sink is not None:
-                acct.absorb(self.controller.execute_batch(sink))
-                if self.record_sink is not None:
-                    self.record_sink.append(("to_host", sink, fast_path))
+            acct.absorb(self.controller.execute_batch(batch))
+            if self.record_sink is not None:
+                self.record_sink.append(("to_host", batch, fast_path))
             acct.count_bits(n_bits * len(sources))
             sp.add(steps=total_steps)
             result = OpResult(
@@ -404,6 +366,7 @@ class PinatuboExecutor:
         sources: List[List[int]],
         n_bits: int,
         n_chunks: int,
+        chunk_localities: List[OpLocality],
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
     ) -> Optional[Tuple[np.ndarray, int]]:
@@ -414,7 +377,6 @@ class PinatuboExecutor:
         the final sensed rows never touch memory, so no aliasing check
         is needed.  Returns ``(bits, steps)`` or ``None``.
         """
-        chunk_localities = self._classify_chunks(scratch, sources, n_chunks)
         if op is not PimOp.INV:
             limit = max(2, self.limits.single_step_limit(op))
             if len(sources) > limit and any(
@@ -428,7 +390,7 @@ class PinatuboExecutor:
         )
         new_rows = self.memory.bitwise_rows(op.value, operand_lists)
 
-        self._set_mode(op, acct, batch)
+        self._set_mode(op, batch)
         n_operands = len(operand_lists)
         first_src = operand_lists[0]
         row_bits = self.geometry.row_bits
@@ -494,32 +456,29 @@ class PinatuboExecutor:
 
     def _bitwise_into(
         self,
-        sink: Union[CommandBatch, list, None],
+        batch: CommandBatch,
         op: PimOp,
         dest: List[int],
         sources: List[List[int]],
         n_bits: int,
         n_chunks: int,
         overlap_chunks: bool,
-        chunk_localities: Optional[List[OpLocality]] = None,
+        chunk_localities: List[OpLocality],
     ) -> Tuple[int, OpAccounting, Dict[OpLocality, int]]:
-        """Emit one logical operation's commands into ``sink``.
+        """Emit one logical operation's commands into ``batch``.
 
-        ``sink`` is a :class:`CommandBatch` (batched pricing; fenced per
-        combine step unless ``overlap_chunks``), a plain list (legacy
-        overlap path: one flat ``execute``), or ``None`` (legacy serial
-        path: one ``execute`` per combine step).
+        The batch is fenced per combine step unless ``overlap_chunks``;
+        ``chunk_localities`` come from :meth:`_prevalidate_placement`.
         """
         acct = OpAccounting()
         localities: Dict[OpLocality, int] = {}
         fence_steps = not overlap_chunks
-        if isinstance(sink, CommandBatch):
-            steps = self._vector_chunks(
-                sink, op, dest, sources, n_bits, n_chunks, fence_steps,
-                chunk_localities, acct, localities,
-            )
-            if steps is not None:
-                return steps, acct, localities
+        steps = self._vector_chunks(
+            batch, op, dest, sources, n_bits, n_chunks, fence_steps,
+            chunk_localities, acct, localities,
+        )
+        if steps is not None:
+            return steps, acct, localities
         total_steps = 0
         row_bits = self.geometry.row_bits
         for c in range(n_chunks):
@@ -527,16 +486,9 @@ class PinatuboExecutor:
             chunk_sources = [s[c] for s in sources]
             total_steps += self._chunk_bitwise(
                 op, dest[c], chunk_sources, chunk_bits, acct, localities,
-                sink, fence_steps=fence_steps,
-                locality=chunk_localities[c] if chunk_localities else None,
+                batch, chunk_localities[c], fence_steps=fence_steps,
             )
         return total_steps, acct, localities
-
-    def _classify_chunks(
-        self, dest: List[int], sources: List[List[int]], n_chunks: int
-    ) -> List[OpLocality]:
-        """Locality of every chunk; :class:`PlacementError` on INTER_CHIP."""
-        return self._prevalidate_placement(dest, sources, n_chunks)
 
     def _vector_chunks(
         self,
@@ -547,7 +499,7 @@ class PinatuboExecutor:
         n_bits: int,
         n_chunks: int,
         fence_steps: bool,
-        chunk_localities: Optional[List[OpLocality]],
+        chunk_localities: List[OpLocality],
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
     ) -> Optional[int]:
@@ -562,8 +514,6 @@ class PinatuboExecutor:
         memory state are identical to the serial chunk loop; returns
         ``None`` when the request needs that general path.
         """
-        if chunk_localities is None:
-            chunk_localities = self._classify_chunks(dest, sources, n_chunks)
         if op is not PimOp.INV:
             limit = max(2, self.limits.single_step_limit(op))
             if len(sources) > limit and any(
@@ -591,7 +541,7 @@ class PinatuboExecutor:
         new_rows = mem.bitwise_rows(op.value, operand_lists)
         changed = mem.diff_bits_rows(dest[:n_chunks], new_rows)
 
-        self._set_mode(op, acct, batch)
+        self._set_mode(op, batch)
         n_operands = len(operand_lists)
         first_src = operand_lists[0]
         row_bits = self.geometry.row_bits
@@ -628,32 +578,20 @@ class PinatuboExecutor:
         chunk_bits: int,
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
-        sink: Union[CommandBatch, list, None] = None,
+        batch: CommandBatch,
+        locality: OpLocality,
         emit_host: bool = False,
         host_chunks: Optional[List[np.ndarray]] = None,
         fence_steps: bool = True,
-        locality: Optional[OpLocality] = None,
     ) -> int:
         """One rank-row chunk: decompose into in-memory combine steps.
 
-        Folds cost and locality tallies into ``acct``/``localities`` in
-        place and returns the number of combine steps issued.  Pass
-        ``locality`` when the chunk was already classified (the
-        prevalidation pass of :meth:`bitwise_many`).
+        Folds locality tallies into ``acct``/``localities`` in place,
+        emits the steps into ``batch`` and returns the number of combine
+        steps issued.  ``locality`` is the chunk's classification from
+        :meth:`_prevalidate_placement`.
         """
-        self._set_mode(op, acct, sink)
-
-        if locality is None:
-            # Route by where this chunk's operands and destination live.
-            frames = list(srcs)
-            frames.append(dest)
-            locality = self.mapper.classify_frames(frames)
-        if locality is OpLocality.INTER_CHIP:
-            raise PlacementError(
-                "operands/destination span chips or channels; in-memory "
-                "bitwise operations require same-chip placement "
-                "(remap with the PIM-aware allocator)"
-            )
+        self._set_mode(op, batch)
 
         if op is PimOp.INV or locality is not OpLocality.INTRA_SUBARRAY:
             # single combine step: INV, or the buffered path where the
@@ -663,7 +601,7 @@ class PinatuboExecutor:
             operands = [srcs[0]] if op is PimOp.INV else list(srcs)
             return self._combine_step(
                 op, dest, operands, chunk_bits, acct, localities, locality,
-                sink, emit_host, fence_steps, host_chunks,
+                batch, emit_host, fence_steps, host_chunks,
             )
 
         limit = max(2, self.limits.single_step_limit(op))
@@ -673,7 +611,7 @@ class PinatuboExecutor:
         pending = pending[limit:]
         final = not pending
         steps = self._combine_step(
-            op, dest, group, chunk_bits, acct, localities, locality, sink,
+            op, dest, group, chunk_bits, acct, localities, locality, batch,
             emit_host and final, fence_steps, host_chunks,
         )
         # Accumulate the rest: dest + up to (limit - 1) new operands per step.
@@ -684,27 +622,22 @@ class PinatuboExecutor:
             final = not pending
             steps += self._combine_step(
                 op, dest, operands, chunk_bits, acct, localities, locality,
-                sink, emit_host and final, fence_steps, host_chunks,
+                batch, emit_host and final, fence_steps, host_chunks,
             )
         return steps
 
     def _set_mode(
         self,
         op: PimOp,
-        acct: OpAccounting,
-        sink: Union[CommandBatch, list, None] = None,
+        batch: CommandBatch,
     ) -> None:
         if self._current_mode != op:
-            if isinstance(sink, CommandBatch):
-                # the MRS rides in the batch: its own fenced segment so
-                # its slot serialises exactly like a separate execute()
-                self.controller.mode_register = MODE_CODES[op]
-                sink.fence()
-                sink.add(CommandKind.MRS)
-                sink.fence()
-            else:
-                stats = self.controller.set_pim_mode(MODE_CODES[op])
-                acct.absorb(stats)
+            # the MRS rides in the batch: its own fenced segment so its
+            # slot serialises exactly like a separate execute()
+            self.controller.mode_register = MODE_CODES[op]
+            batch.fence()
+            batch.add(CommandKind.MRS)
+            batch.fence()
             self._current_mode = op
 
     def _combine_step(
@@ -716,12 +649,13 @@ class PinatuboExecutor:
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
         locality: OpLocality,
-        sink: Union[CommandBatch, list, None] = None,
+        batch: CommandBatch,
         emit_host: bool = False,
         fence_steps: bool = True,
         host_chunks: Optional[List[np.ndarray]] = None,
     ) -> int:
-        """Issue (or defer, when ``sink`` is given) one combine step.
+        """Emit one combine step into ``batch`` (its cost is deferred to
+        the batch's pricing).
 
         The functional result is computed **once**: it both sizes the
         differential write (only flipped cells pay write energy) and is
@@ -737,25 +671,12 @@ class PinatuboExecutor:
             rows = list(rows)
             kind, c, _n_bits, n_steps, transfer = rows[wb_index]
             rows[wb_index] = (kind, c, changed, n_steps, transfer)
-        if isinstance(sink, CommandBatch):
-            sink.extend_rows(rows)
-            if fence_steps:
-                sink.fence()
-            # cost deferred to the batch; tally the locality now
-            counts = acct.locality_counts
-            counts[locality] = counts.get(locality, 0) + 1
-        else:
-            commands = [
-                Command(_KINDS[k], channel=c, n_bits=b, n_steps=s,
-                        transfer_bytes=t)
-                for k, c, b, s, t in rows
-            ]
-            if sink is None:
-                acct.absorb(self.controller.execute(commands), locality)
-            else:
-                sink.extend(commands)  # cost deferred to one flat execute
-                counts = acct.locality_counts
-                counts[locality] = counts.get(locality, 0) + 1
+        batch.extend_rows(rows)
+        if fence_steps:
+            batch.fence()
+        # cost deferred to the batch; tally the locality now
+        counts = acct.locality_counts
+        counts[locality] = counts.get(locality, 0) + 1
         acct.count_step()
         localities[locality] = localities.get(locality, 0) + 1
         if emit_host:

@@ -35,7 +35,6 @@ class PinatuboSystem:
         technology: Optional[NVMTechnology] = None,
         geometry: MemoryGeometry = DEFAULT_GEOMETRY,
         max_rows: Optional[int] = None,
-        batch_commands: bool = True,
     ):
         self.technology = technology or get_technology("pcm")
         self.geometry = geometry
@@ -48,7 +47,6 @@ class PinatuboSystem:
             memory=self.memory,
             controller=self.controller,
             max_rows=max_rows,
-            batch_commands=batch_commands,
         )
         self.mapper = AddressMapper(geometry)
 
@@ -57,13 +55,12 @@ class PinatuboSystem:
     @classmethod
     def from_config(cls, config) -> "PinatuboSystem":
         """Build a system from a declarative
-        :class:`repro.backends.config.SystemConfig` (technology, geometry,
-        multi-row limit and batching are all taken from the config)."""
+        :class:`repro.backends.config.SystemConfig` (technology, geometry
+        and multi-row limit are all taken from the config)."""
         return cls(
             technology=config.technology_object(),
             geometry=config.geometry_object(),
             max_rows=config.max_rows,
-            batch_commands=config.batch_commands,
         )
 
     @classmethod

@@ -96,43 +96,23 @@ class MainMemory:
         self._block_writes: Dict[int, np.ndarray] = {}
         self._zero_row = np.zeros(geometry.row_bytes, dtype=np.uint8)
         self._zero_row.flags.writeable = False
-        self._write_listeners: List = []
-        self._bulk_listeners: List = []
         self._delta_listeners: List = []
 
-    def add_write_listener(self, callback) -> None:
-        """Register ``callback(frame)`` to fire on every frame program.
+    def add_delta_write_listener(self, listener) -> None:
+        """Register a write observer fired once per write call.
 
         The hook sits on the single write choke point every path funnels
-        through (driver execution, host writes, fallbacks), which is what
-        the planning layer's precise cache invalidation rides on -- the
-        same point the wear/endurance counters already observe.
-        """
-        self._write_listeners.append(callback)
-
-    def add_bulk_write_listener(self, callback) -> None:
-        """Register ``callback(frames)`` fired once per write call.
-
-        The batched flavour of :meth:`add_write_listener`:
-        :meth:`write_frame` fires it with a 1-tuple, :meth:`write_frames`
-        once with the whole frame sequence (in write order, after the
-        block lands).  Observers that only need "these frames changed" --
-        the planner's version bump and cache invalidation -- amortise
-        their per-call overhead across the batch instead of paying it
-        per row.
-        """
-        self._bulk_listeners.append(callback)
-
-    def add_delta_write_listener(self, listener) -> None:
-        """Register a delta observer fired once per write call.
-
-        ``listener`` exposes two methods: ``wants_delta(frames) -> bool``
-        is asked *before* the write lands, and ``on_write(frames, farr,
-        deltas)`` fires after it.  When the listener wanted the delta,
+        through (driver execution, host writes, fallbacks, the planner's
+        own serves), which is what the planning layer's cache
+        invalidation and delta repair ride on.  ``listener`` exposes two
+        methods: ``wants_delta(frames) -> bool`` is asked *before* the
+        write lands, and ``on_write(frames, farr, deltas)`` fires after
+        it, with ``frames`` in write order (a 1-tuple from
+        :meth:`write_frame`).  When the listener wanted the delta,
         ``farr`` is the deduplicated ``np.intp`` frame array and
         ``deltas`` the matching ``old XOR new`` packed rows; otherwise
-        both are ``None`` and the call degrades to the bulk-listener
-        contract.  The XOR is computed in the functional model only --
+        both are ``None`` and the listener only learns which frames
+        changed.  The XOR is computed in the functional model only --
         the write path already reads and programs those rows, so delta
         capture adds no simulated cost; pricing happens when (and if)
         a repair consumes the delta.
@@ -198,12 +178,6 @@ class MainMemory:
         self._block_writes[block_index][row] += 1
         self.total_writes += 1
         _FRAME_WRITES.add()
-        if self._write_listeners:
-            for callback in self._write_listeners:
-                callback(frame)
-        if self._bulk_listeners:
-            for callback in self._bulk_listeners:
-                callback(frames)
         if self._delta_listeners:
             farr = deltas = None
             if old is not None:
@@ -220,9 +194,9 @@ class MainMemory:
 
         Validates the block once, then lands the rows with one
         fancy-indexed assignment per touched storage block -- same
-        copy-in, same endurance bump, same listener firing as the
-        per-frame path, without per-row Python work.  The compiled
-        replay and serve paths funnel their stores through here.
+        copy-in, same endurance bump, same listener firing (once per
+        call) as the per-frame path, without per-row Python work.  The
+        compiled replay and serve paths funnel their stores through here.
         """
         rows_2d = np.asarray(rows_2d, dtype=np.uint8)
         n = len(frames)
@@ -256,15 +230,8 @@ class MainMemory:
                 blk = self._block(int(block_index))
                 blk[rows[sel]] = rows_2d[sel]
                 np.add.at(self._block_writes[int(block_index)], rows[sel], 1)
-        if self._write_listeners:
-            for frame in frames:
-                for callback in self._write_listeners:
-                    callback(frame)
         self.total_writes += n
         _FRAME_WRITES.add(n)
-        if self._bulk_listeners:
-            for callback in self._bulk_listeners:
-                callback(frames)
         if self._delta_listeners:
             deltas = None
             if old_rows is not None:

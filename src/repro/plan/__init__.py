@@ -16,8 +16,10 @@ an order of magnitude less host wall-clock.  Programs live in a
 
 Enable it per runtime with ``PimRuntime(..., plan=True)``; everything
 issued through ``pim_op`` / ``pim_op_many`` then plans automatically.
-``QueryPlanner(..., compile=False)`` is the escape hatch back to the
-fully interpreted wave execution.
+``QueryPlanner(..., compile=False)`` keeps fully interpreted wave
+execution -- the priced reference the differential suites compare
+against.  Writes always delta-repair the cached sub-results they reach
+(:mod:`repro.plan.repair`), falling back to eager invalidation.
 """
 
 from repro.plan.cache import CacheEntry, ProgramCache, SubResultCache

@@ -342,16 +342,16 @@ class QueryPlanner:
         cache_bytes: int = 64 << 20,
         cache_shards: int = 8,
         compile: bool = True,
-        repair: bool = True,
     ):
         self.driver = driver
         self.executor = driver.executor
         self.geometry = self.executor.geometry
         self.memory = self.executor.memory
         self.cache = SubResultCache(cache_bytes, cache_shards)
-        #: ``compile=False`` is the escape hatch back to the fully
-        #: interpreted wave execution (identical results and pricing,
-        #: just no program recording/replay)
+        #: ``compile=False`` is the priced interpreter: fully interpreted
+        #: wave execution, the reference the differential suites compare
+        #: against (identical results and pricing, just no program
+        #: recording/replay)
         self.compile_enabled = bool(compile)
         #: shape key -> WaveProgram/ToHostProgram or SEEN_ONCE/UNCOMPILABLE
         self.programs = ProgramCache()
@@ -388,9 +388,6 @@ class QueryPlanner:
         self._canon_keys: Dict[tuple, tuple] = {}
         #: content part -> _ResidentItem (replayable cache serves)
         self._resident: "OrderedDict[tuple, _ResidentItem]" = OrderedDict()
-        #: ``repair=False`` is the escape hatch back to PR-6 semantics:
-        #: every write eagerly invalidates dependent cached sub-results
-        self.repair_enabled = bool(repair)
         #: >0 while this planner itself is executing a wave; the dest
         #: writes a wave lands (serves, exec write-backs) always
         #: invalidate -- their grouping differs between the interpreted
@@ -408,12 +405,12 @@ class QueryPlanner:
     def wants_delta(self, frames) -> bool:
         """Memory asks before a write: capture ``old XOR new``?
 
-        Only when repair is on, the planner is not mid-wave, and some
-        cached entry actually reads one of the frames -- so unrelated
-        writes never pay the old-row gather.  Reads ``self.cache``
-        dynamically (tests swap the cache instance out).
+        Only when the planner is not mid-wave and some cached entry
+        actually reads one of the frames -- so unrelated writes never
+        pay the old-row gather.  Reads ``self.cache`` dynamically (tests
+        swap the cache instance out).
         """
-        if not self.repair_enabled or self._wave_depth:
+        if self._wave_depth:
             return False
         index = self.cache._frame_index
         return bool(index) and not index.keys().isdisjoint(frames)
@@ -1027,7 +1024,7 @@ class QueryPlanner:
                 it.req.op, it.req.dest, it.req.sources, it.req.n_bits,
                 it.req.overlap_chunks,
             )
-        return driver.flush(batched=True)
+        return driver.flush()
 
     def execute_to_host(
         self,

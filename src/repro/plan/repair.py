@@ -213,7 +213,7 @@ class RepairEngine:
         sink = CommandBatch()
         pos = 0
         for p in plans:
-            executor._set_mode(p.rep_op, acct, sink)
+            executor._set_mode(p.rep_op, sink)
             frozen, wb_positions = self._program(p.rep_op, p.shape)
             if wb_positions.size:
                 frozen.n_bits[wb_positions] = self._wb_values(

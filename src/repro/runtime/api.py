@@ -49,7 +49,6 @@ class PimRuntime:
         plan: bool = False,
         plan_cache_bytes: int = 64 << 20,
         compile: bool = True,
-        repair: bool = True,
     ):
         self.system = system or PinatuboSystem.pcm()
         self.manager = PimMemoryManager(self.system.geometry, policy)
@@ -65,7 +64,6 @@ class PimRuntime:
                 self.driver,
                 cache_bytes=plan_cache_bytes,
                 compile=compile,
-                repair=repair,
             )
             self.allocator.add_free_listener(self.planner.on_free)
 
@@ -78,7 +76,6 @@ class PimRuntime:
         plan: bool = False,
         plan_cache_bytes: int = 64 << 20,
         compile: bool = True,
-        repair: bool = True,
     ) -> "PimRuntime":
         """The canonical constructor: declarative config -> full stack.
 
@@ -92,8 +89,8 @@ class PimRuntime:
         injection hooks around this path: ``PimRuntime.pcm()`` is
         ``PimRuntime.from_config(SystemConfig(technology="pcm"))`` by
         definition, and builds an equivalent system.
-        ``plan``/``compile``/``repair`` carry through to the constructor
-        (planned execution with the kernel compiler and delta repair).
+        ``plan``/``compile`` carry through to the constructor (planned
+        execution with the kernel compiler; delta repair is always on).
         """
         from repro.backends.registry import build_system
 
@@ -111,7 +108,6 @@ class PimRuntime:
             plan=plan,
             plan_cache_bytes=plan_cache_bytes,
             compile=compile,
-            repair=repair,
         )
 
     @classmethod

@@ -191,23 +191,22 @@ class PimDriver:
                 remaining.pop(i)
         return order
 
-    def flush(self, batched: bool = False) -> List[OpResult]:
+    def flush(self) -> List[OpResult]:
         """Issue every queued request; returns the per-request results.
 
         Results come back in **submission order** regardless of how the
         scheduler reordered execution, so callers can zip them against
         what they queued.
 
-        With ``batched=True`` (and a batching executor) the whole
-        reordered stream is priced as **one** command batch through
-        :meth:`PinatuboExecutor.bitwise_many`; per-request results are
-        identical to the sequential path.  If any request's placement
-        is in-memory-infeasible, the stream falls back to the
+        A stream of more than one request is priced as **one** command
+        batch through :meth:`PinatuboExecutor.bitwise_many`; per-request
+        results are identical to the sequential path.  If any request's
+        placement is in-memory-infeasible, the stream falls back to the
         per-request path so individual requests can take the host
         fallback -- ``bitwise_many`` validates placement before touching
         any state, which is what makes the retry safe.
         """
-        with telemetry.span("runtime.driver.flush", batched=batched) as sp:
+        with telemetry.span("runtime.driver.flush") as sp:
             batch, self._queue = self._queue, []
             order = self._reorder(batch)
             self.last_order = order
@@ -230,7 +229,7 @@ class PimDriver:
                 decoded = decode_instruction(encode_instruction(instr))
                 assert decoded == instr
 
-            if batched and self.executor.batch_commands and len(ordered) > 1:
+            if len(ordered) > 1:
                 try:
                     results = self.executor.bitwise_many(
                         [
@@ -317,4 +316,4 @@ class PimDriver:
         flush them as one command batch (see :meth:`flush`)."""
         for req in requests:
             self.submit(*req)
-        return self.flush(batched=True)
+        return self.flush()

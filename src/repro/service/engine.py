@@ -12,8 +12,7 @@ registered backend:
   tenant's vectors in one subarray (ops stay intra-subarray) while
   different tenants land on different subarrays/banks/channels -- the
   shard map the scheduler's makespan model rides on.  Batches execute
-  through the driver as **one** command stream (the PR 1 batched
-  engine).
+  through the driver as **one** command stream.
 - :class:`HostOracleEngine` -- any other registered backend
   (cost-model schemes, the functional in-DRAM baseline).  Vectors stay
   host-side; batches go through the backend protocol's

@@ -20,7 +20,9 @@ N = 320
 def loaded_table(plan=True, compile_=True, analytics=True, seed=3):
     rt = PimRuntime.pcm(plan=plan, compile=compile_)
     rng = np.random.default_rng(seed)
-    table = AnalyticsTable(rt, N, compile_analytics=analytics)
+    table = AnalyticsTable(rt, N)
+    if not analytics:
+        table.compiler.enabled = False
     data = {
         "age": rng.integers(0, 64, N).astype(np.int64),
         "income": rng.integers(0, 128, N).astype(np.int64),

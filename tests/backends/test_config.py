@@ -22,7 +22,6 @@ class TestRoundTrip:
             SystemConfig(
                 backend="ideal",
                 placement="interleaved",
-                batch_commands=False,
                 timing_scale=2.0,
                 energy_scale=0.5,
             ),

@@ -277,12 +277,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="fewer row frames"):
             ex.bitwise("or", [sub[2]], [[sub[0]], [sub[1]]], 2 * SMALL.row_bits)
 
-    def test_read_vector_bounds(self, ex):
+    def test_read_write_vector_bounds(self, ex):
         sub = frames_at(ex)
         with pytest.raises(ValueError):
             ex.read_vector([sub[0]], 0)
         with pytest.raises(ValueError, match="cover"):
             ex.read_vector([sub[0]], SMALL.row_bits * 2)
+        # the write direction: bits past the frames' capacity are
+        # rejected before any frame is written or any command priced
+        with pytest.raises(ValueError, match="cover"):
+            ex.write_vector([sub[0]], np.ones(SMALL.row_bits * 2, dtype=np.uint8))
+        assert ex.memory.total_writes == 0
+        assert all(bus.stats.commands == 0 for bus in ex.controller.buses)
+        # exactly full frames still write
+        ex.write_vector([sub[0]], np.ones(SMALL.row_bits, dtype=np.uint8))
+        assert ex.memory.total_writes == 1
 
 
 class TestPropertyBased:

@@ -39,8 +39,13 @@ RTOL = 1e-9
 
 
 def _runtime(compile_: bool = True, repair: bool = True) -> PimRuntime:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
-    return PimRuntime(system, plan=True, compile=compile_, repair=repair)
+    """A planned runtime; ``repair=False`` makes the planner decline
+    every write delta, so writes take the eager-invalidation path."""
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
+    rt = PimRuntime(system, plan=True, compile=compile_)
+    if not repair:
+        rt.planner.wants_delta = lambda frames: False
+    return rt
 
 
 def _loaded(rt, n_vectors=3, seed=5):
@@ -239,9 +244,7 @@ class TestCompiledVsInterpretedFastBit:
         oracle = FastBitDB(table, functional=False)
 
         def build(compile_):
-            system = PinatuboSystem(
-                get_technology("pcm"), FB_GEOM, batch_commands=True
-            )
+            system = PinatuboSystem(get_technology("pcm"), FB_GEOM)
             rt = PimRuntime(system, plan=True, compile=compile_)
             return PimFastBit(rt, table)
 
@@ -349,9 +352,7 @@ class TestEscapeHatch:
         assert len(rt.planner.programs) == 0
 
     def test_compile_on_by_default(self):
-        system = PinatuboSystem(
-            get_technology("pcm"), GEOM, batch_commands=True
-        )
+        system = PinatuboSystem(get_technology("pcm"), GEOM)
         rt = PimRuntime(system, plan=True)
         assert rt.planner.compile_enabled
 

@@ -25,9 +25,14 @@ GEOM = MemoryGeometry(
 N = 3 * GEOM.row_bits  # three chunks per vector
 
 
-def _runtime(**kwargs) -> PimRuntime:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
-    return PimRuntime(system, plan=True, **kwargs)
+def _runtime(repair=True, **kwargs) -> PimRuntime:
+    """A planned runtime; ``repair=False`` makes the planner decline
+    every write delta, so writes take the eager-invalidation path."""
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
+    rt = PimRuntime(system, plan=True, **kwargs)
+    if not repair:
+        rt.planner.wants_delta = lambda frames: False
+    return rt
 
 
 def _loaded(rt, n_vectors=3, seed=5):
@@ -236,9 +241,7 @@ class TestSubResultCache:
 class TestPlannedVsUnplanned:
     def test_streams_byte_identical_to_unplanned_runtime(self):
         def run(plan):
-            system = PinatuboSystem(
-                get_technology("pcm"), GEOM, batch_commands=True
-            )
+            system = PinatuboSystem(get_technology("pcm"), GEOM)
             rt = PimRuntime(system, plan=plan)
             (a, b, c), _ = _loaded(rt)
             dests = [rt.pim_malloc(N) for _ in range(6)]

@@ -38,11 +38,14 @@ GEOM = MemoryGeometry(
 N = 3 * GEOM.row_bits  # three chunks per vector
 
 
-def _runtime(geometry=GEOM, **kwargs) -> PimRuntime:
-    system = PinatuboSystem(
-        get_technology("pcm"), geometry, batch_commands=True
-    )
-    return PimRuntime(system, plan=True, **kwargs)
+def _runtime(geometry=GEOM, repair=True, **kwargs) -> PimRuntime:
+    """A planned runtime; ``repair=False`` makes the planner decline
+    every write delta, so writes take the eager-invalidation path."""
+    system = PinatuboSystem(get_technology("pcm"), geometry)
+    rt = PimRuntime(system, plan=True, **kwargs)
+    if not repair:
+        rt.planner.wants_delta = lambda frames: False
+    return rt
 
 
 def _loaded(rt, n_vectors=3, seed=5):

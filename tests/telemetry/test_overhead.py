@@ -32,7 +32,7 @@ OVERHEAD_BUDGET = 0.05
 
 
 def _build_db(table) -> PimFastBit:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     return PimFastBit(PimRuntime(system), table)
 
 
