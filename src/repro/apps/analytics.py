@@ -31,13 +31,14 @@ compiler follows the planner's ``compile`` switch: a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.arith.bitslice import BitSliceTensor
-from repro.arith.compile import AnalyticsCompiler, analytics_program_key
+from repro.arith.compile import AnalyticsCompiler
 from repro.arith.kernels import (
     CMP_OPS,
     ScratchPool,
@@ -257,73 +258,54 @@ class AnalyticsTable:
         return handles
 
     def _run(self, predicates, aggregate) -> AnalyticsResult:
-        runtime = self.runtime
-        compiler = self.compiler
-        tape = None
-        if compiler.enabled:
-            key, constants = analytics_program_key(predicates, aggregate)
-            rec = compiler.replay(key, constants)
-            if rec is not None:
-                _Q_QUERIES.add()
-                result = AnalyticsResult(
-                    value=rec.value,
-                    groups=rec.groups,
-                    popcount=rec.popcount,
-                    latency_s=rec.latency_s,
-                    energy_j=rec.energy_j,
-                    spec=(tuple(predicates), tuple(aggregate)),
-                )
-                self.executed.append(result)
-                return result
-            tape = compiler.observe(
-                key,
-                constants,
-                lambda: self._program_leaves(predicates, aggregate),
-            )
-            if tape is not None and tape.scratch_high_water:
-                self.pool.preallocate(tape.scratch_high_water)
-        lat0, en0 = runtime.total_latency(), runtime.total_energy()
-        with telemetry.span(
-            "analytics.query",
-            filters=len(predicates),
-            aggregate=aggregate[0],
-        ):
-            mask = self._build_mask(predicates)
-            popcount = mask_count(self.pool, mask)
-            groups: Optional[Tuple[int, ...]] = None
-            if aggregate[0] == "count":
-                value = float(popcount)
-            elif aggregate[0] == "sum":
-                value = float(
-                    masked_sum(self.pool, self._slices[aggregate[1]].planes, mask)
-                )
-            elif aggregate[0] == "hist":
-                groups = tuple(
-                    masked_histogram(self.pool, self._indexes[aggregate[1]], mask)
-                )
-                value = float(sum(groups))
-            else:
-                raise ValueError(f"unknown aggregate {aggregate[0]!r}")
-        if tape is not None:
-            tape.finish(
-                popcount=popcount,
-                value=value,
-                groups=groups,
-                high_water=self.pool.high_water,
-            )
-        self.pool.recycle()
-        self.pool.assert_drained()
+        run = self.compiler.run(
+            predicates,
+            aggregate,
+            None,
+            partial(self._analytics_body, predicates, aggregate),
+        )
         _Q_QUERIES.add()
         result = AnalyticsResult(
-            value=value,
-            groups=groups,
-            popcount=popcount,
-            latency_s=runtime.total_latency() - lat0,
-            energy_j=runtime.total_energy() - en0,
+            value=run.value,
+            groups=run.groups,
+            popcount=run.popcount,
+            latency_s=run.latency_s,
+            energy_j=run.energy_j,
             spec=(tuple(predicates), tuple(aggregate)),
         )
         self.executed.append(result)
         return result
+
+    def _analytics_body(self, predicates, aggregate):
+        """``(pool, evaluate, leaves_fn)`` of one interpreted query (see
+        :meth:`AnalyticsCompiler.run`)."""
+        pool = self.pool
+
+        def evaluate():
+            with telemetry.span(
+                "analytics.query",
+                filters=len(predicates),
+                aggregate=aggregate[0],
+            ):
+                mask = self._build_mask(predicates)
+                popcount = mask_count(pool, mask)
+                groups: Optional[Tuple[int, ...]] = None
+                if aggregate[0] == "count":
+                    value = float(popcount)
+                elif aggregate[0] == "sum":
+                    value = float(
+                        masked_sum(pool, self._slices[aggregate[1]].planes, mask)
+                    )
+                elif aggregate[0] == "hist":
+                    groups = tuple(
+                        masked_histogram(pool, self._indexes[aggregate[1]], mask)
+                    )
+                    value = float(sum(groups))
+                else:
+                    raise ValueError(f"unknown aggregate {aggregate[0]!r}")
+            return popcount, value, groups, None
+
+        return pool, evaluate, partial(self._program_leaves, predicates, aggregate)
 
     # -- verification --------------------------------------------------------
 

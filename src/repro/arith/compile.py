@@ -33,18 +33,21 @@ Honesty rules, in the same spirit as the planner's serve pricing:
   host accounting the interpreted path feeds, bumps the same
   request/instruction/mode-switch tallies, and restores the
   executor's mode register to the recorded exit state.
-- Replays are validated against the planner's write-version vector: a
-  program snapshots the version **sum** over every leaf frame it read
-  (column planes, bitmap bins, the scratch-pool constants), and a
-  replay is only served while that sum -- monotone, so sum equality is
-  elementwise equality -- is unchanged (with the planner's write epoch
-  as the O(1) fast path).  The planner bumps versions on frees as well
-  as writes, so a freed leaf invalidates exactly like a written one;
-  the reset also unbinds the leaves, so the next record binds to
-  whatever frames the query reads then.  Sub-result-cache *evictions*
-  (byte pressure) drop all pricing records too, because the recorded
-  serve pricing assumed those entries stayed resident.  A new record
-  validates the program first, so it never re-blesses stale ones.
+- Replays are validated through the planner
+  (:meth:`~repro.plan.planner.QueryPlanner.replayable`): a program
+  holds one planner stamp over every leaf frame it read (column planes,
+  bitmap bins, the scratch-pool constants), and a replay is only served
+  while no stamped frame was written or freed and no sub-result was
+  evicted (the recorded serve pricing assumed those entries stayed
+  resident).  A failed check drops all of the program's records and
+  unbinds its leaves, so the next record binds to whatever frames the
+  query reads then.  A new record validates the program first, so it
+  never re-blesses stale ones.
+
+:meth:`AnalyticsCompiler.run` owns the whole lifecycle of one call:
+replay, or else interpret the caller's evaluation on its scratch pool
+(pre-sized from the shape's recorded footprint), record it when
+steady, and drain the pool.
 
 Telemetry lands under ``plan.analytics.*``; per-compiler tallies are
 on :class:`AnalyticsStats` (surfaced in BENCH_arith.json).
@@ -54,17 +57,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.stats import OpAccounting
 from repro.plan.cache import ProgramCache
+from repro.plan.compile import SEEN_ONCE
 
 __all__ = [
     "AnalyticsCompiler",
     "AnalyticsProgram",
+    "AnalyticsRun",
     "AnalyticsStats",
     "analytics_program_key",
 ]
@@ -73,11 +78,12 @@ _PROGRAMS = telemetry.counter("plan.analytics.programs")
 _COMPILES = telemetry.counter("plan.analytics.compiles")
 _REPLAYS = telemetry.counter("plan.analytics.replays")
 _FALLBACKS = telemetry.counter("plan.analytics.fallbacks")
-_FUSED_BATCHES = telemetry.counter("plan.analytics.fused_batches")
-_FUSED_REQUESTS = telemetry.counter("plan.analytics.fused_requests")
 _INVALIDATIONS = telemetry.counter("plan.analytics.invalidations")
 
-#: pricing records kept per program (LRU over (constants, entry mode))
+#: shapes kept per compiler (LRU)
+_MAX_PROGRAMS = 1024
+#: pricing records and sightings kept per program (one LRU over
+#: (constants, entry mode), oldest first)
 _MAX_RECORDS = 512
 
 
@@ -101,29 +107,33 @@ def analytics_program_key(filters, aggregate, scope=None):
     return (scope, tuple(shape), tuple(aggregate)), tuple(constants)
 
 
+class AnalyticsRun(NamedTuple):
+    """One analyze call's answer and simulated cost, replayed or not."""
+
+    popcount: int
+    value: float
+    groups: Optional[Tuple[int, ...]]
+    #: mask bits (uint8 0/1) when the caller's evaluation returns them
+    bits: Optional[np.ndarray]
+    latency_s: float
+    energy_j: float
+    instructions: int
+
+
 class _Record:
     """One replayable steady-state execution of a program instance."""
 
     __slots__ = (
+        "run",  # the recorded AnalyticsRun, without mask bits
+        "packed_bits",  # np.packbits of the mask, or None (table path)
+        "n_bits",  # mask length, for unpacking
         "acct",  # driver (PIM) OpAccounting delta
         "host_acct",  # host-side OpAccounting delta, or None if empty
-        "requests",  # DriverStats int deltas
-        "instructions",
+        "requests",  # DriverStats int deltas (instructions: run's)
         "mode_switches",
         "mode_out",  # executor mode state after the run (op enum or None)
         "mode_code",  # controller mode register after the run
-        "latency_s",  # total (pim + host) latency / energy delta
-        "energy_j",
-        "popcount",  # the recorded answer triple
-        "value",
-        "groups",
-        "packed_bits",  # np.packbits of the mask, or None (table path)
-        "n_bits",  # mask length, for unpacking
     )
-
-    def unpack_bits(self) -> np.ndarray:
-        """The recorded mask bits (uint8 0/1), unpacked fresh per call."""
-        return np.unpackbits(self.packed_bits, count=self.n_bits)
 
 
 @dataclass
@@ -134,8 +144,6 @@ class AnalyticsStats:
     compiles: int = 0
     replays: int = 0
     fallbacks: int = 0
-    fused_batches: int = 0
-    fused_requests: int = 0
     invalidations: int = 0
 
     def to_dict(self) -> dict:
@@ -144,8 +152,6 @@ class AnalyticsStats:
             "compiles": self.compiles,
             "replays": self.replays,
             "fallbacks": self.fallbacks,
-            "fused_batches": self.fused_batches,
-            "fused_requests": self.fused_requests,
             "invalidations": self.invalidations,
         }
 
@@ -155,149 +161,16 @@ class AnalyticsProgram:
 
     __slots__ = (
         "key",
-        "leaf_farr",  # np.intp array of every frame the query reads
-        "vsum",  # planner version sum over leaf_farr at record time
-        "epoch",  # planner write epoch at last successful validation
-        "evictions",  # SubResultCache eviction count at record time
-        "records",  # OrderedDict[(constants, entry_mode)] -> _Record
-        "sightings",  # (constants, entry_mode) pairs seen exactly once
+        "stamp",  # planner stamp over every frame the query reads, or None
+        "records",  # OrderedDict[(constants, entry_mode)] -> _Record | SEEN_ONCE
         "scratch_high_water",  # peak scratch planes of the fallback runs
-        "batch_token",  # fusion: engine batch this program validated in
-        "batch_replays",  # fusion: replays inside the current batch
     )
 
     def __init__(self, key):
         self.key = key
-        self.leaf_farr: Optional[np.ndarray] = None
-        self.vsum = -1
-        self.epoch = -1
-        self.evictions = -1
-        self.records: "OrderedDict[tuple, _Record]" = OrderedDict()
-        self.sightings: Set[tuple] = set()
+        self.stamp = None
+        self.records: "OrderedDict[tuple, object]" = OrderedDict()
         self.scratch_high_water = 0
-        self.batch_token = -1
-        self.batch_replays = 0
-
-
-class _Tape:
-    """Pre-run snapshot of one interpreted fallback, for recording."""
-
-    __slots__ = (
-        "compiler",
-        "program",
-        "entry",
-        "recording",
-        "leaves_fn",
-        "_pim",
-        "_host",
-        "_requests",
-        "_instructions",
-        "_mode_switches",
-        "_cache_misses",
-        "_compilations",
-        "_host_fallbacks",
-    )
-
-    def __init__(self, compiler, program, entry, recording, leaves_fn):
-        self.compiler = compiler
-        self.program = program
-        self.entry = entry
-        self.recording = recording
-        self.leaves_fn = leaves_fn
-        if recording:
-            runtime = compiler.runtime
-            self._pim = _acct_snapshot(runtime.driver.stats.accounting)
-            self._host = _acct_snapshot(runtime.host_accounting)
-            stats = runtime.driver.stats
-            self._requests = stats.requests
-            self._instructions = stats.instructions
-            self._mode_switches = stats.mode_switches
-            self._host_fallbacks = stats.host_fallbacks
-            plan = compiler.planner.stats
-            self._cache_misses = plan.cache_misses
-            self._compilations = plan.compilations
-
-    @property
-    def scratch_high_water(self) -> int:
-        """Recorded scratch footprint of this shape (0 when unknown)."""
-        return self.program.scratch_high_water
-
-    def finish(
-        self,
-        popcount: int,
-        value: float,
-        groups: Optional[tuple],
-        bits: Optional[np.ndarray] = None,
-        high_water: int = 0,
-    ) -> bool:
-        """Close the tape after the interpreted run.
-
-        Returns True when a pricing record was captured; a non-steady
-        run (any cache miss, compilation or host fallback happened)
-        leaves the sighting marked so the next clean run records.
-        """
-        program = self.program
-        if high_water > program.scratch_high_water:
-            program.scratch_high_water = high_water
-        if not self.recording:
-            return False
-        compiler = self.compiler
-        runtime = compiler.runtime
-        stats = runtime.driver.stats
-        plan = compiler.planner.stats
-        if (
-            plan.cache_misses != self._cache_misses
-            or plan.compilations != self._compilations
-            or stats.host_fallbacks != self._host_fallbacks
-        ):
-            return False  # not steady state: stay interpreted, retry later
-        rec = _Record()
-        rec.acct = _acct_delta(stats.accounting, self._pim)
-        host_delta = _acct_delta(runtime.host_accounting, self._host)
-        rec.host_acct = (
-            host_delta
-            if (
-                host_delta.latency
-                or host_delta.energy
-                or host_delta.bus_commands
-            )
-            else None
-        )
-        rec.requests = stats.requests - self._requests
-        rec.instructions = stats.instructions - self._instructions
-        rec.mode_switches = stats.mode_switches - self._mode_switches
-        executor = compiler.executor
-        rec.mode_out = executor._current_mode
-        rec.mode_code = executor.controller.mode_register
-        host = rec.host_acct
-        rec.latency_s = rec.acct.latency + (host.latency if host else 0.0)
-        rec.energy_j = rec.acct.energy + (host.energy if host else 0.0)
-        rec.popcount = int(popcount)
-        rec.value = value
-        rec.groups = groups
-        if bits is None:
-            rec.packed_bits = None
-            rec.n_bits = 0
-        else:
-            rec.packed_bits = np.packbits(bits)
-            rec.n_bits = int(bits.size)
-        if program.leaf_farr is None or not compiler._valid(program, None):
-            frames: List[int] = []
-            for handle in self.leaves_fn():
-                frames.extend(handle.frames)
-            program.leaf_farr = np.unique(np.asarray(frames, dtype=np.intp))
-        program.records[self.entry] = rec
-        program.records.move_to_end(self.entry)
-        while len(program.records) > _MAX_RECORDS:
-            program.records.popitem(last=False)
-        program.sightings.discard(self.entry)
-        planner = compiler.planner
-        program.vsum = int(planner._versions[program.leaf_farr].sum())
-        program.epoch = planner._write_epoch
-        program.evictions = planner.cache.evictions
-        compiler.stats.compiles += 1
-        _COMPILES.add()
-        return True
 
 
 def _acct_snapshot(acct: OpAccounting) -> tuple:
@@ -339,13 +212,13 @@ def _acct_delta(after: OpAccounting, before: tuple) -> OpAccounting:
 class AnalyticsCompiler:
     """Shape-keyed whole-query program cache for the ``analyze`` verb.
 
-    Disabled (every call a fast no-op) unless the runtime has a planner
-    with wave compilation on -- the compiler sits strictly *above* the
-    planner and relies on its version vector for validation and on its
-    steady-state serve pricing for the recorded deltas.
+    Disabled (:meth:`run` just interprets) unless the runtime has a
+    planner with wave compilation on -- the compiler sits strictly
+    *above* the planner and relies on its stamps for validation and on
+    its steady-state serve pricing for the recorded deltas.
     """
 
-    def __init__(self, runtime, max_programs: int = 1024):
+    def __init__(self, runtime):
         planner = getattr(runtime, "planner", None)
         self.runtime = runtime
         self.planner = planner
@@ -353,27 +226,63 @@ class AnalyticsCompiler:
         self.stats = AnalyticsStats()
         #: shape key -> AnalyticsProgram, bounded LRU (the same store
         #: the wave compiler uses for its programs)
-        self.programs = ProgramCache(max_programs)
-        self._token = 0
+        self.programs = ProgramCache(_MAX_PROGRAMS)
         if self.enabled:
             self.executor = runtime.system.executor
 
-    # -- batching (engine fusion) --------------------------------------------
+    def run(self, filters, aggregate, scope, prepare: Callable) -> AnalyticsRun:
+        """Serve one analyze call, replayed or interpreted.
 
-    def new_batch(self) -> int:
-        """Start a fused-replay scope (one scheduler dispatch batch).
-
-        Within one token, a program validates once and every further
-        same-program replay rides that validation; two or more replays
-        of one program in one batch count as a fused batch.
+        ``prepare()`` is called only when the call interprets.  It
+        returns ``(pool, evaluate, leaves_fn)``: ``evaluate()`` runs the
+        query through the runtime, on ``pool``'s scratch, and returns
+        ``(popcount, value, groups, mask bits or None)``;
+        ``leaves_fn()`` returns every resident handle the query reads
+        (column planes, bins, pool constants) and is only called when
+        a record is captured, after the run, so lazily created
+        constants exist by then.  An interpreted call's cost is the
+        runtime accounting delta it caused.
         """
-        self._token += 1
-        return self._token
+        program = None
+        if self.enabled:
+            key, constants = analytics_program_key(filters, aggregate, scope)
+            rec = self.replay(key, constants)
+            if rec is not None:
+                if rec.packed_bits is None:
+                    return rec.run
+                return rec.run._replace(
+                    bits=np.unpackbits(rec.packed_bits, count=rec.n_bits)
+                )
+            program, entry, before = self.observe(key, constants)
+        pool, evaluate, leaves_fn = prepare()
+        if program is not None and program.scratch_high_water:
+            pool.preallocate(program.scratch_high_water)
+        runtime = self.runtime
+        lat0, en0 = runtime.total_latency(), runtime.total_energy()
+        instr0 = runtime.driver.stats.instructions
+        popcount, value, groups, bits = evaluate()
+        if program is not None:
+            if pool.high_water > program.scratch_high_water:
+                program.scratch_high_water = pool.high_water
+            if before is not None:
+                self._record(
+                    program, entry, before, leaves_fn, popcount, value,
+                    groups, bits,
+                )
+        pool.recycle()
+        pool.assert_drained()
+        return AnalyticsRun(
+            popcount,
+            value,
+            groups,
+            bits,
+            runtime.total_latency() - lat0,
+            runtime.total_energy() - en0,
+            runtime.driver.stats.instructions - instr0,
+        )
 
-    # -- the hot path --------------------------------------------------------
-
-    def replay(self, key, constants, token: Optional[int] = None):
-        """Serve one analyze from its program, or return ``None``.
+    def replay(self, key, constants) -> Optional[_Record]:
+        """Serve one analyze from its program's record, or return ``None``.
 
         On a hit the recorded accounting is already applied: the driver
         and host accounting advance by exactly what the steady
@@ -381,43 +290,28 @@ class AnalyticsCompiler:
         to the recorded exit state (entry mode is part of the record
         key, so the delta's MRS content always matches).
         """
-        if not self.enabled:
-            return None
         program = self.programs.get(key)
-        if program is None or program.leaf_farr is None:
+        if program is None:
             return None
         entry = (constants, self.executor._current_mode)
         rec = program.records.get(entry)
-        if rec is None or not self._valid(program, token):
+        if rec is None or rec is SEEN_ONCE or not self._valid(program):
             return None
         program.records.move_to_end(entry)
         self._apply(rec)
-        if token is not None:
-            program.batch_replays += 1
-            if program.batch_replays == 2:
-                self.stats.fused_batches += 1
-                _FUSED_BATCHES.add()
-            if program.batch_replays >= 2:
-                self.stats.fused_requests += 1
-                _FUSED_REQUESTS.add()
         self.stats.replays += 1
         _REPLAYS.add()
         return rec
 
-    def observe(self, key, constants, leaves_fn: Callable[[], list]):
-        """Pre-run hook for the interpreted fallback path.
+    def observe(self, key, constants):
+        """Pre-run hook of an interpreted run.
 
-        Creates the program shell on first sight of a shape, marks the
-        ``(constants, entry mode)`` sighting, and returns a
-        :class:`_Tape` -- recording on the pair's second sighting --
-        or ``None`` when the compiler is disabled.  ``leaves_fn`` must
-        return every resident handle the query reads (column planes,
-        bins, pool constants); it is only called when a record is
-        actually captured, after the run, so lazily-created constants
-        exist by then.
+        Creates the program shell on first sight of a shape and marks
+        the ``(constants, entry mode)`` sighting ``SEEN_ONCE`` in the
+        program's record LRU.  Returns ``(program, entry, before)``:
+        on the pair's second sighting ``before`` is the pre-run
+        snapshot its recording needs, else ``None``.
         """
-        if not self.enabled:
-            return None
         self.stats.fallbacks += 1
         _FALLBACKS.add()
         program = self.programs.get(key)
@@ -427,44 +321,101 @@ class AnalyticsCompiler:
             self.stats.programs += 1
             _PROGRAMS.add()
         entry = (constants, self.executor._current_mode)
-        recording = entry in program.sightings
-        if not recording:
-            program.sightings.add(entry)
-            if len(program.sightings) > _MAX_RECORDS:
-                program.sightings.pop()
-        return _Tape(self, program, entry, recording, leaves_fn)
+        records = program.records
+        if entry in records:
+            records.move_to_end(entry)
+            runtime = self.runtime
+            stats = runtime.driver.stats
+            plan = self.planner.stats
+            before = (
+                _acct_snapshot(stats.accounting),
+                _acct_snapshot(runtime.host_accounting),
+                stats.requests,
+                stats.instructions,
+                stats.mode_switches,
+                stats.host_fallbacks,
+                plan.cache_misses,
+                plan.compilations,
+            )
+            return program, entry, before
+        records[entry] = SEEN_ONCE
+        while len(records) > _MAX_RECORDS:
+            records.popitem(last=False)
+        return program, entry, None
+
+    def _record(
+        self, program, entry, before, leaves_fn, popcount, value, groups, bits
+    ) -> None:
+        """Record one interpreted run as ``entry``'s replay, if steady.
+
+        A non-steady run (any cache miss, compilation or host fallback
+        happened) leaves the sighting marked so the next clean run
+        records.
+        """
+        (pim0, host0, requests0, instr0, switches0, fallbacks0, misses0,
+         compilations0) = before
+        runtime = self.runtime
+        stats = runtime.driver.stats
+        plan = self.planner.stats
+        if (
+            plan.cache_misses != misses0
+            or plan.compilations != compilations0
+            or stats.host_fallbacks != fallbacks0
+        ):
+            return  # not steady state: stay interpreted, retry later
+        rec = _Record()
+        rec.acct = acct = _acct_delta(stats.accounting, pim0)
+        host = _acct_delta(runtime.host_accounting, host0)
+        if not (host.latency or host.energy or host.bus_commands):
+            host = None
+        rec.host_acct = host
+        rec.requests = stats.requests - requests0
+        rec.mode_switches = stats.mode_switches - switches0
+        executor = self.executor
+        rec.mode_out = executor._current_mode
+        rec.mode_code = executor.controller.mode_register
+        rec.run = AnalyticsRun(
+            int(popcount),
+            value,
+            groups,
+            None,
+            acct.latency + (host.latency if host else 0.0),
+            acct.energy + (host.energy if host else 0.0),
+            stats.instructions - instr0,
+        )
+        if bits is None:
+            rec.packed_bits = None
+            rec.n_bits = 0
+        else:
+            rec.packed_bits = np.packbits(bits)
+            rec.n_bits = int(bits.size)
+        if program.stamp is None or not self._valid(program):
+            frames = []
+            for handle in leaves_fn():
+                frames.extend(handle.frames)
+            program.stamp = self.planner.stamp(
+                np.unique(np.asarray(frames, dtype=np.intp))
+            )
+        records = program.records
+        records[entry] = rec
+        records.move_to_end(entry)
+        while len(records) > _MAX_RECORDS:
+            records.popitem(last=False)
+        self.stats.compiles += 1
+        _COMPILES.add()
 
     # -- validation / invalidation -------------------------------------------
 
-    def _valid(self, program: AnalyticsProgram, token: Optional[int]) -> bool:
-        if token is not None and program.batch_token == token:
+    def _valid(self, program: AnalyticsProgram) -> bool:
+        if self.planner.replayable(program.stamp):
             return True
-        planner = self.planner
-        if program.evictions != planner.cache.evictions:
-            # byte pressure evicted cached sub-results somewhere: the
-            # recorded serve pricing may assume entries that are gone
-            self._reset(program)
-            return False
-        if program.epoch != planner._write_epoch:
-            vsum = int(planner._versions[program.leaf_farr].sum())
-            if vsum != program.vsum:
-                self._reset(program)
-                return False
-            program.epoch = planner._write_epoch
-        if token is not None:
-            program.batch_token = token
-            program.batch_replays = 0
-        return True
+        self._reset(program)
+        return False
 
     def _reset(self, program: AnalyticsProgram) -> None:
         """Drop a program's records and leaf binding (the shape survives)."""
-        program.leaf_farr = None
+        program.stamp = None
         program.records.clear()
-        program.sightings.clear()
-        program.vsum = -1
-        program.epoch = -1
-        program.evictions = -1
-        program.batch_token = -1
         self.stats.invalidations += 1
         _INVALIDATIONS.add()
 
@@ -479,7 +430,7 @@ class AnalyticsCompiler:
                 rec.host_acct
             )
         stats.requests += rec.requests
-        stats.instructions += rec.instructions
+        stats.instructions += rec.run.instructions
         stats.mode_switches += rec.mode_switches
         executor = self.executor
         executor._current_mode = rec.mode_out

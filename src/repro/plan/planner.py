@@ -9,8 +9,8 @@ expression key**:
   raw bytes of the frame-number and version arrays (versions are bumped
   by the main memory's write listener, so any write to a row changes
   every key that reads it).  Leaf keys are memoized per vector id and
-  revalidated with one vectorized version compare, so the hot path
-  never re-derives them;
+  revalidated against a write-version stamp (:meth:`QueryPlanner.fresh`),
+  so the hot path never re-derives them;
 - a handle whose content was produced by an earlier planned request
   resolves to that request's *expression key* instead of its raw
   frames (the binding survives as long as the destination rows are
@@ -326,6 +326,24 @@ class _ResidentItem:
         self.frozen = frozen
 
 
+class _Stamp:
+    """A frame set's write versions at one moment (see
+    :meth:`QueryPlanner.stamp`)."""
+
+    __slots__ = (
+        "farr",  # np.intp array of the stamped frames
+        "vsum",  # planner version sum over farr when stamped
+        "epoch",  # planner write epoch at the last successful check
+        "evictions",  # sub-result cache eviction count when stamped
+    )
+
+    def __init__(self, farr, vsum, epoch, evictions):
+        self.farr = farr
+        self.vsum = vsum
+        self.epoch = epoch
+        self.evictions = evictions
+
+
 #: shared read-only wave for leaf-key resolution outside planning
 _EMPTY_WAVE = _Wave()
 
@@ -363,14 +381,14 @@ class QueryPlanner:
         #: *width*); a frame never written since the planner attached
         #: stays at version 0
         self._versions = np.zeros(self.geometry.total_rows, dtype=np.int64)
-        #: bumps once per write call; a memo entry validated at the
-        #: current epoch needs no version re-check (see :meth:`_leaf_key`)
+        #: bumps once per write call; a stamp checked at the current
+        #: epoch needs no version re-check (see :meth:`fresh`)
         self._write_epoch = 0
-        #: vid -> [frames, frames array, version snapshot array, version
-        #: sum, expression key, leaf frames, validated epoch]
+        #: vid -> [frames, stamp, version snapshot array, expression
+        #: key, leaf frames]
         self._bound: "OrderedDict[int, list]" = OrderedDict()
-        #: vid -> [n_chunks, frames, frames array, version sum, leaf
-        #: key, leaf frames, validated epoch] -- raw-operand key memo
+        #: vid -> [n_chunks, frames, stamp, leaf key, leaf frames] --
+        #: raw-operand key memo
         self._leaf_keys: "OrderedDict[int, list]" = OrderedDict()
         #: serve-wave composition (tuple of templates) -> frozen batch,
         #: so recurring compositions reuse one memo-priced batch object
@@ -454,6 +472,44 @@ class QueryPlanner:
                 1,
             )
 
+    # -- write-version stamps ------------------------------------------------
+
+    def stamp(self, farr: np.ndarray, vsum: Optional[int] = None) -> _Stamp:
+        """Stamp the frames ``farr`` at their current write versions.
+
+        ``vsum`` is their version sum when the caller already has it.
+        Every memo that must notice a write to (or free of) the frames
+        it read keeps one of these and asks :meth:`fresh`.
+        """
+        if vsum is None:
+            vsum = int(self._versions[farr].sum())
+        return _Stamp(farr, vsum, self._write_epoch, self.cache.evictions)
+
+    def fresh(self, stamp: _Stamp) -> bool:
+        """True while no stamped frame was written or freed since.
+
+        Versions only ever increment, so sum equality over the same
+        frames is elementwise equality -- one scalar compare.  Cheaper
+        still: a stamp checked at the current write epoch was checked
+        after the last write anywhere, so its versions cannot have
+        moved -- no array touch at all.
+        """
+        epoch = self._write_epoch
+        if stamp.epoch == epoch:
+            return True
+        if int(self._versions[stamp.farr].sum()) != stamp.vsum:
+            return False
+        stamp.epoch = epoch
+        return True
+
+    def replayable(self, stamp: _Stamp) -> bool:
+        """:meth:`fresh`, and no cached sub-result was evicted since.
+
+        The check for a recorded serve pricing: it assumed every cache
+        entry it served from stayed resident.
+        """
+        return stamp.evictions == self.cache.evictions and self.fresh(stamp)
+
     # -- canonicalisation ----------------------------------------------------
 
     def _leaf_key(
@@ -468,59 +524,44 @@ class QueryPlanner:
             bframes, key, leaves = pending
             if len(bframes) >= n_chunks and bframes[:n_chunks] == frames:
                 return key, leaves
-        # version snapshots are validated by *sum*: versions only ever
-        # increment, so sum equality over the same frames is equivalent
-        # to elementwise equality -- one scalar compare instead of an
-        # elementwise one on every memo probe.  Cheaper still: an entry
-        # whose ``epoch`` slot equals the global write epoch was
-        # validated after the last write anywhere, so its versions
-        # cannot have moved -- no array touch at all.
-        epoch = self._write_epoch
         bound = self._bound.get(handle.vid)
         if bound is not None:
-            bframes = bound[0]
+            bframes, stamp = bound[0], bound[1]
             if len(bframes) == n_chunks:
-                if bframes == frames and (
-                    bound[6] == epoch
-                    or int(self._versions[bound[1]].sum()) == bound[3]
-                ):
-                    bound[6] = epoch
+                if bframes == frames and self.fresh(stamp):
                     self._bound.move_to_end(handle.vid)
-                    return bound[4], bound[5]
+                    return bound[3], bound[4]
             elif (
                 len(bframes) > n_chunks
                 and bframes[:n_chunks] == frames
                 and (
-                    bound[6] == epoch
+                    stamp.epoch == self._write_epoch
                     or (
-                        self._versions[bound[1][:n_chunks]]
+                        self._versions[stamp.farr[:n_chunks]]
                         == bound[2][:n_chunks]
                     ).all()
                 )
             ):
-                # prefix-only validation: leave the epoch slot alone
-                # (it asserts whole-entry freshness)
+                # prefix-only validation: leave the stamp alone (its
+                # epoch asserts whole-entry freshness)
                 self._bound.move_to_end(handle.vid)
-                return bound[4], bound[5]
+                return bound[3], bound[4]
         cached = self._leaf_keys.get(handle.vid)
         if cached is not None:
             if (
                 cached[0] == n_chunks
                 and cached[1] == frames
-                and (
-                    cached[6] == epoch
-                    or int(self._versions[cached[2]].sum()) == cached[3]
-                )
+                and self.fresh(cached[2])
             ):
-                cached[6] = epoch
                 self._leaf_keys.move_to_end(handle.vid)
-                return cached[4], cached[5]
+                return cached[3], cached[4]
         farr = np.fromiter(frames, dtype=np.intp, count=n_chunks)
         snapshot = self._versions[farr]
         key = ("L", farr.tobytes(), snapshot.tobytes())
         leaves = frozenset(frames)
         self._leaf_keys[handle.vid] = [
-            n_chunks, frames, farr, int(snapshot.sum()), key, leaves, epoch
+            n_chunks, frames, self.stamp(farr, int(snapshot.sum())), key,
+            leaves,
         ]
         while len(self._leaf_keys) > _MAX_BINDINGS:
             self._leaf_keys.popitem(last=False)
@@ -757,7 +798,6 @@ class QueryPlanner:
             stats.served_energy_j += energy
         versions = self._versions
         bound = self._bound
-        epoch = self._write_epoch
         # one fancy-index + one reduction for every binding snapshot:
         # the run's frames are already concatenated in ``frames_arr``
         all_snap = versions[frames_arr]
@@ -780,7 +820,7 @@ class QueryPlanner:
                 starts += res.n_chunks
                 vsum = int(snapshot.sum())
             bound[vid] = [
-                dest, farr, snapshot, vsum, res.key, res.leaves, epoch,
+                dest, self.stamp(farr, vsum), snapshot, res.key, res.leaves,
             ]
             bound.move_to_end(vid)
         while len(bound) > _MAX_BINDINGS:
@@ -925,7 +965,6 @@ class QueryPlanner:
         # write is detected.  Submission order makes the last writer of
         # a vid win.
         versions = self._versions
-        epoch = self._write_epoch
         for it in wave.items:
             farr = np.fromiter(
                 it.dest_frames, dtype=np.intp, count=it.n_chunks
@@ -933,12 +972,10 @@ class QueryPlanner:
             snapshot = versions[farr]
             self._bound[it.req.dest.vid] = [
                 it.dest_frames,
-                farr,
+                self.stamp(farr, int(snapshot.sum())),
                 snapshot,
-                int(snapshot.sum()),
                 it.key,
                 it.leaves,
-                epoch,
             ]
             self._bound.move_to_end(it.req.dest.vid)
         while len(self._bound) > _MAX_BINDINGS:

@@ -49,7 +49,12 @@ from repro.core.stats import OpAccounting
 from repro.memsim.address import OpLocality
 from repro.memsim.controller import CommandBatch, CommandKind
 from repro.core.bitops import popcount_rows
-from repro.plan.compile import freeze_batch
+from repro.plan.compile import (
+    COMPILATIONS,
+    PROGRAM_HITS,
+    PROGRAM_MISSES,
+    freeze_batch,
+)
 
 __all__ = ["FALLBACK_CAUSES", "RepairEngine"]
 
@@ -342,7 +347,9 @@ class RepairEngine:
         program), localities, channels, group fan-ins.  The frozen
         batch's ``n_bits`` column is patched with the differential
         write-back widths before it joins the write's batch, exactly
-        like the wave programs' write-backs.
+        like the wave programs' write-backs.  Hits, misses and builds
+        tally like every other program's (see
+        :meth:`QueryPlanner._compiled`).
         """
         planner = self.planner
         geometry = planner.geometry
@@ -355,11 +362,15 @@ class RepairEngine:
             for chunk_bits, groups in shape
         )
         key = ("repair", rep_op.value, geometry.row_bits, sig)
+        stats = planner.stats
         if planner.compile_enabled:
             hit = planner.programs.get(key)
             if hit is not None:
-                planner.stats.program_hits += 1
+                PROGRAM_HITS.add()
+                stats.program_hits += 1
                 return hit
+            PROGRAM_MISSES.add()
+            stats.program_misses += 1
         batch = CommandBatch()
         wb_positions: List[int] = []
         pos = 0
@@ -376,8 +387,9 @@ class RepairEngine:
             batch.fence()
         program = (freeze_batch(batch), np.asarray(wb_positions, dtype=np.intp))
         if planner.compile_enabled:
+            COMPILATIONS.add()
+            stats.compilations += 1
             planner.programs.put(key, program)
-            planner.stats.program_misses += 1
         return program
 
     @staticmethod

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.backends.protocol import (
 )
 from repro.backends.registry import registry
 from repro.runtime.wear import WearMonitor
-from repro.arith.compile import AnalyticsCompiler, analytics_program_key
+from repro.arith.compile import AnalyticsCompiler
 from repro.arith.kernels import (
     ScratchPool,
     combine_masks,
@@ -349,15 +350,9 @@ class ResidentPimEngine(ServiceEngine):
         plain_slots = []
         staged = []
         requests = []
-        fuse_token = None
         for i, call in enumerate(calls):
             if call.analytics is not None:
-                # one fusion token per engine batch: concurrent analyze
-                # requests sharing a program validate once and replay
-                # as a fused pass (plan.analytics.fused_batches)
-                if fuse_token is None:
-                    fuse_token = self.analytics_compiler.new_batch()
-                out[i] = self._execute_analytics(call, fuse_token)
+                out[i] = self._execute_analytics(call)
                 continue
             sources = [self._handles[(call.tenant, n)] for n in call.names]
             n_bits = min(h.n_bits for h in sources)
@@ -396,9 +391,7 @@ class ResidentPimEngine(ServiceEngine):
             self._arith_pools[key] = pool
         return pool
 
-    def _execute_analytics(
-        self, call: ServiceCall, fuse_token: Optional[int] = None
-    ) -> ExecutedCall:
+    def _execute_analytics(self, call: ServiceCall) -> ExecutedCall:
         """Run one filter+aggregate query on the resident vectors.
 
         Every gate goes through the runtime (priced by the controller,
@@ -409,111 +402,88 @@ class ResidentPimEngine(ServiceEngine):
         :class:`~repro.arith.compile.AnalyticsProgram` instead --
         identical answers, bits and pricing, no planner work.
         """
+        filters, aggregate = call.analytics
+        run = self.analytics_compiler.run(
+            filters, aggregate, call.tenant, partial(self._analytics_body, call)
+        )
+        return ExecutedCall(
+            bits=run.bits,
+            popcount=run.popcount,
+            latency_s=run.latency_s * self.config.timing_scale,
+            energy_j=run.energy_j * self.config.energy_scale,
+            steps=run.instructions,
+            in_memory=True,
+            value=run.value,
+            groups=run.groups,
+        )
+
+    def _analytics_body(self, call: ServiceCall):
+        """``(pool, evaluate, leaves_fn)`` of one interpreted analytics
+        call (see :meth:`AnalyticsCompiler.run`)."""
         rt = self.runtime
         tenant = call.tenant
         filters, aggregate = call.analytics
-        compiler = self.analytics_compiler
-        tape = None
-        if compiler.enabled:
-            key, constants = analytics_program_key(
-                filters, aggregate, scope=tenant
-            )
-            rec = compiler.replay(key, constants, token=fuse_token)
-            if rec is not None:
-                return ExecutedCall(
-                    bits=rec.unpack_bits(),
-                    popcount=rec.popcount,
-                    latency_s=rec.latency_s * self.config.timing_scale,
-                    energy_j=rec.energy_j * self.config.energy_scale,
-                    steps=rec.instructions,
-                    in_memory=True,
-                    value=rec.value,
-                    groups=rec.groups,
-                )
         handles = {n: self._handles[(tenant, n)] for n in call.names}
-        n_elems = min(h.n_bits for h in handles.values())
-        pool = self._arith_pool(tenant, n_elems)
-        if compiler.enabled:
-            tape = compiler.observe(
-                key,
-                constants,
-                lambda: list(handles.values()) + pool._constants,
+        pool = self._arith_pool(tenant, min(h.n_bits for h in handles.values()))
+
+        def evaluate():
+            masks = []
+            requests: list = []
+            for pred in filters:
+                if pred[0] == "cmp":
+                    _, column, op, value, n_bits = pred
+                    planes = [
+                        handles[bitslice_vector_name(column, j)]
+                        for j in range(n_bits)
+                    ]
+                    masks.append(
+                        compare_const(pool, planes, op, value, requests)
+                    )
+                else:
+                    _, column, lo, hi = pred
+                    bins = [
+                        handles[bin_vector_name(column, b)]
+                        for b in range(lo, hi + 1)
+                    ]
+                    dest = pool.take()
+                    if len(bins) == 1:
+                        requests.append(("or", dest, [bins[0], pool.zero]))
+                    else:
+                        requests.append(("or", dest, bins))
+                    masks.append(dest)
+            mask = (
+                combine_masks(pool, masks, requests)
+                if masks
+                else copy_plane(pool, pool.ones, requests)
             )
-            if tape is not None and tape.scratch_high_water:
-                pool.preallocate(tape.scratch_high_water)
-        lat0, en0 = rt.total_latency(), rt.total_energy()
-        instr0 = rt.driver.stats.instructions
-        masks = []
-        requests: list = []
-        for pred in filters:
-            if pred[0] == "cmp":
-                _, column, op, value, n_bits = pred
+            # all predicate chains plus the conjunction land as one wave
+            if requests:
+                rt.pim_op_many(requests)
+            # one to-host stream materialises the mask bits AND its
+            # count (the count is free once the bits crossed the bus)
+            bits = mask_bits(pool, mask)
+            popcount = int(bits.sum())
+            groups: Optional[Tuple[int, ...]] = None
+            if aggregate[0] == "count":
+                value = float(popcount)
+            elif aggregate[0] == "sum":
+                _, column, n_bits = aggregate
                 planes = [
                     handles[bitslice_vector_name(column, j)]
                     for j in range(n_bits)
                 ]
-                masks.append(compare_const(pool, planes, op, value, requests))
+                value = float(masked_sum(pool, planes, mask))
             else:
-                _, column, lo, hi = pred
+                _, column, n_bins = aggregate
                 bins = [
                     handles[bin_vector_name(column, b)]
-                    for b in range(lo, hi + 1)
+                    for b in range(n_bins)
                 ]
-                dest = pool.take()
-                if len(bins) == 1:
-                    requests.append(("or", dest, [bins[0], pool.zero]))
-                else:
-                    requests.append(("or", dest, bins))
-                masks.append(dest)
-        mask = (
-            combine_masks(pool, masks, requests)
-            if masks
-            else copy_plane(pool, pool.ones, requests)
-        )
-        # all predicate chains plus the conjunction land as one wave
-        if requests:
-            rt.pim_op_many(requests)
-        # one to-host stream materialises the mask bits AND its count
-        # (the count is free once the bits crossed the bus)
-        bits = mask_bits(pool, mask)
-        popcount = int(bits.sum())
-        groups: Optional[Tuple[int, ...]] = None
-        if aggregate[0] == "count":
-            value = float(popcount)
-        elif aggregate[0] == "sum":
-            _, column, n_bits = aggregate
-            planes = [
-                handles[bitslice_vector_name(column, j)]
-                for j in range(n_bits)
-            ]
-            value = float(masked_sum(pool, planes, mask))
-        else:
-            _, column, n_bins = aggregate
-            bins = [
-                handles[bin_vector_name(column, b)] for b in range(n_bins)
-            ]
-            groups = tuple(masked_histogram(pool, bins, mask))
-            value = float(sum(groups))
-        if tape is not None:
-            tape.finish(
-                popcount=popcount,
-                value=value,
-                groups=groups,
-                bits=bits,
-                high_water=pool.high_water,
-            )
-        pool.recycle()
-        pool.assert_drained()
-        return ExecutedCall(
-            bits=bits,
-            popcount=popcount,
-            latency_s=(rt.total_latency() - lat0) * self.config.timing_scale,
-            energy_j=(rt.total_energy() - en0) * self.config.energy_scale,
-            steps=int(rt.driver.stats.instructions - instr0),
-            in_memory=True,
-            value=value,
-            groups=groups,
-        )
+                groups = tuple(masked_histogram(pool, bins, mask))
+                value = float(sum(groups))
+            return popcount, value, groups, bits
+
+        return pool, evaluate, lambda: list(handles.values()) + pool._constants
 
     def call_key(self, call: ServiceCall) -> Optional[tuple]:
         """(op, n_bits, canonical operand digests) -- content identity.

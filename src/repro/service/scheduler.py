@@ -48,12 +48,10 @@ _CSE_FOLDS = telemetry.counter("service.scheduler.cse_folds")
 #: dispatch stream the kernel compiler is absorbing
 _DISPATCHES = telemetry.counter("service.scheduler.dispatches")
 _BATCH_SIZE = telemetry.gauge("service.scheduler.batch_size")
-#: analytics reads dispatched.  The scheduler's contribution to analyze
-#: fusion is structural: all analyze requests of one dispatch reach the
-#: engine in a *single* ``execute`` batch, so the engine validates each
-#: analytics program once per batch token and replays every same-shape
-#: request against that one validation (``plan.analytics.fused_batches``
-#: counts the batches where that actually fused >= 2 requests).
+#: analytics reads dispatched.  They ride the same coalesced batches as
+#: plain reads but never fold: the engine runs each one through the
+#: analytics compiler, which replays a steady program after the same
+#: planner validity check every replay takes (``plan.analytics.replays``).
 _ANALYTICS_CALLS = telemetry.counter("service.scheduler.analytics_calls")
 
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.apps.analytics import AnalyticsTable, analytics_oracle
+import repro.arith.compile as analytics_compile
 from repro.arith.compile import AnalyticsCompiler, analytics_program_key
+from repro.plan.compile import SEEN_ONCE
 from repro.runtime.api import PimRuntime
 
 N = 320
@@ -176,7 +178,7 @@ class TestInvalidation:
         table.verify()
         old_leaves = set(table.compiler.programs.get(
             analytics_program_key([spec], ("count",))[0]
-        ).leaf_farr.tolist())
+        ).stamp.farr.tolist())
 
         table.free()
         # the freed table's history checks against its old shadows
@@ -217,6 +219,39 @@ class TestInvalidation:
             table.filter(("cmp", "age", "lt", 55)).count()
         r = table.filter(("cmp", "age", "lt", 30)).count()
         assert r.popcount == int((age2 < 30).sum())
+        table.verify()
+
+
+class TestRecordLru:
+    def test_sightings_evict_oldest_first_and_newest_records(
+        self, monkeypatch
+    ):
+        """Sightings share the records' LRU: past the cap the oldest
+        one goes, never an arbitrary one or the one just added."""
+        monkeypatch.setattr(analytics_compile, "_MAX_RECORDS", 2)
+        table, data = loaded_table()
+        for k in (10, 20, 30):
+            table.filter(("cmp", "age", "lt", k)).count()
+        program = table.compiler.programs.get(
+            analytics_program_key([("cmp", "age", "lt", 0)], ("count",))[0]
+        )
+        records = program.records
+        assert [c for c, _mode in records] == [(20,), (30,)]
+        assert all(v is SEEN_ONCE for v in records.values())
+
+        stats = table.compiler.stats
+        for _ in range(3):  # the next sighting that runs steady records
+            table.filter(("cmp", "age", "lt", 30)).count()
+            if stats.compiles:
+                break
+        assert stats.compiles == 1
+        assert [c for (c, _m), v in records.items() if v is not SEEN_ONCE] == [
+            (30,)
+        ]
+        replays = stats.replays
+        r = table.filter(("cmp", "age", "lt", 30)).count()
+        assert stats.replays == replays + 1
+        assert r.popcount == int((data["age"] < 30).sum())
         table.verify()
 
 

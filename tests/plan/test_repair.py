@@ -301,6 +301,41 @@ class TestRepairProgramCache:
         assert rt.plan_stats.program_hits == hits0 + 1
         assert len(self._repair_keys(rt.planner)) == 1
 
+    def test_repair_programs_tally_in_stats_and_counters(self):
+        """Repair program hits, misses and builds count in PlanStats
+        and in the ``plan.compile.*`` counters alike, like every other
+        program kind's."""
+        rt = _runtime(compile=True)
+        (a, b, c), _ = _loaded(rt)
+        rt.pim_op("xor", rt.pim_malloc(N), [a, b])
+        rt.pim_op("and", rt.pim_malloc(N), [b, c])
+        names = ("program_hits", "program_misses", "compilations")
+
+        def tallies():
+            stats = rt.plan_stats
+            return (
+                [getattr(stats, name) for name in names],
+                [
+                    telemetry.counter(f"plan.compile.{name}").value
+                    for name in names
+                ],
+            )
+
+        stats0, counters0 = tallies()
+        rng = np.random.default_rng(41)
+        for target in (a, b, a, b, c):
+            rt.pim_write(
+                target, rng.integers(0, 2, N, dtype=np.uint8)
+            )
+        stats1, counters1 = tallies()
+        assert rt.plan_stats.repairs >= 5
+        d_stats = [x - y for x, y in zip(stats1, stats0)]
+        d_counters = [x - y for x, y in zip(counters1, counters0)]
+        assert d_stats == d_counters
+        hits, misses, builds = d_stats
+        assert hits >= 1 and misses >= 1
+        assert builds == misses
+
     def test_geometry_change_cannot_replay_stale_program(self):
         """Repair program keys embed the chunks' sense-step resolution:
         after a geometry change (here a different SA mux ratio) the same
