@@ -24,7 +24,7 @@ against.  Writes always delta-repair the cached sub-results they reach
 
 from repro.plan.cache import CacheEntry, ProgramCache, SubResultCache
 from repro.plan.compile import ToHostProgram, WaveProgram
-from repro.plan.planner import PlanStats, QueryPlanner, forward_rows
+from repro.plan.planner import PlanStats, QueryPlanner
 from repro.plan.repair import RepairEngine
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "SubResultCache",
     "ToHostProgram",
     "WaveProgram",
-    "forward_rows",
 ]

@@ -65,7 +65,6 @@ __all__ = [
     "build_serve_template",
     "build_to_host_program",
     "build_wave_program",
-    "concat_serve_templates",
     "to_host_shape_key",
     "wave_shape_key",
 ]
@@ -248,20 +247,22 @@ def to_host_shape_key(
 
 
 class ServeTemplate:
-    """Precomputed command columns of one served result's row-buffer read.
+    """One served result's row-buffer read, for a ``(n_bits, per-chunk
+    channels)`` shape.
 
-    Column-for-column what :func:`repro.plan.planner._serve_commands`
-    emits for a ``(n_bits, per-chunk channels)`` shape: per chunk a
-    fenced ACT / PIM_SENSE / PRE on the destination's channel.  The
-    ``frozen`` attribute is the single-item batch (``op_starts = [0]``)
-    used when a wave serves exactly one item.
+    ``frozen`` is the memo-priced batch, column-for-column what
+    :func:`repro.plan.planner._serve_commands` emits, as one marked
+    operation: per chunk a fenced ACT / PIM_SENSE / PRE on the
+    destination's channel.  Its pricing is a pure function of those
+    columns, so ``results`` keeps, per op, the shared read-only
+    ``OpResult`` every serve of the shape returns.
     """
 
-    __slots__ = ("cols", "n_chunks", "length", "frozen")
+    __slots__ = ("frozen", "results")
 
 
 def build_serve_template(geometry, n_bits: int, channels: np.ndarray) -> ServeTemplate:
-    """Build the serve-command columns for one ``(n_bits, channels)`` shape."""
+    """Build the serve template of one ``(n_bits, channels)`` shape."""
     row_bits = geometry.row_bits
     n_chunks = int(channels.size)
     chunk_bits = np.minimum(
@@ -274,48 +275,19 @@ def build_serve_template(geometry, n_bits: int, channels: np.ndarray) -> ServeTe
     chunk_bits = chunk_bits.astype(np.float64)
     zeros = np.zeros(n_chunks)
     ones = np.ones(n_chunks)
-
-    t = ServeTemplate()
-    t.n_chunks = n_chunks
-    t.length = 3 * n_chunks
-    t.cols = (
+    cols = (
         np.tile(np.array([_K_ACT, _K_SENSE, _K_PRE], dtype=np.intp), n_chunks),
         np.repeat(np.asarray(channels, dtype=np.intp), 3),
         np.stack([chunk_bits, chunk_bits, zeros], axis=1).reshape(-1),
         np.stack([ones, steps, ones], axis=1).reshape(-1),
-        np.zeros(t.length),
+        np.zeros(3 * n_chunks),
         np.repeat(np.arange(n_chunks, dtype=np.intp), 3),
     )
     zero = np.zeros(1, dtype=np.intp)
-    t.frozen = _FrozenBatch(t.cols, zero, zero, n_chunks, True)
+    t = ServeTemplate()
+    t.frozen = _FrozenBatch(cols, zero, zero, n_chunks, True)
+    t.results = {}
     return t
-
-
-def concat_serve_templates(templates: List[ServeTemplate]) -> _FrozenBatch:
-    """One frozen, marked batch covering a wave's serve items in order.
-
-    Equivalent to ``batch.mark()`` + the serve commands per item: op
-    starts at the cumulative command offsets, op segment starts at the
-    cumulative chunk counts.
-    """
-    if len(templates) == 1:
-        return templates[0].frozen
-    lengths = np.array([t.length for t in templates], dtype=np.intp)
-    seg_counts = np.array([t.n_chunks for t in templates], dtype=np.intp)
-    seg_offsets = np.concatenate([[0], np.cumsum(seg_counts)])
-    cols = [
-        np.concatenate([t.cols[i] for t in templates]) for i in range(5)
-    ]
-    cols.append(np.concatenate([
-        t.cols[5] + seg_offsets[i] for i, t in enumerate(templates)
-    ]))
-    return _FrozenBatch(
-        cols,
-        np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp),
-        seg_offsets[:-1].astype(np.intp),
-        int(seg_offsets[-1]),
-        True,
-    )
 
 
 # -- to-host programs ---------------------------------------------------------

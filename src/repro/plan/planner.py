@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
+from itertools import chain
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -76,13 +77,12 @@ from repro.plan.compile import (
     build_serve_template,
     build_to_host_program,
     build_wave_program,
-    concat_serve_templates,
     to_host_shape_key,
     wave_shape_key,
 )
 from repro.runtime.driver import PimDriver, PimRequest
 
-__all__ = ["PlanStats", "QueryPlanner", "forward_rows"]
+__all__ = ["PlanStats", "QueryPlanner"]
 
 #: persistent expression bindings kept per planner (vid -> producing
 #: expression); a plain LRU bound -- bindings are an optimisation hint,
@@ -117,6 +117,14 @@ def _serve_commands(batch, geometry, channel_of, dest_frames, n_bits):
         batch.fence()
 
 
+def _serve_result(op, stats, n_bits: int) -> OpResult:
+    """The result of one served request priced at ``stats``."""
+    acct = OpAccounting()
+    acct.absorb(stats)
+    acct.count_bits(n_bits)
+    return OpResult(op=op, accounting=acct, steps=0, localities={})
+
+
 def _packed_to_host(executor, op, scratch_frames, source_frame_lists, n_bits):
     """Interpreted ``bitwise_to_host`` in the program replay's form:
     ``(packed rows, OpResult)``."""
@@ -124,38 +132,6 @@ def _packed_to_host(executor, op, scratch_frames, source_frame_lists, n_bits):
         op, scratch_frames, source_frame_lists, n_bits
     )
     return np.packbits(bits, bitorder="little"), result
-
-
-def forward_rows(
-    driver: PimDriver,
-    dest_frames: Sequence[int],
-    rows: np.ndarray,
-    n_bits: int,
-    op: PimOp = PimOp.OR,
-) -> OpResult:
-    """Materialise pre-computed packed rows into a destination vector,
-    priced as a row-buffer read and merged into the driver's totals.
-
-    The standalone entry point for result forwarding outside a planner
-    wave -- the serving layer's cross-tenant replay path uses it to give
-    a folded duplicate its own destination buffer at hit price.
-    """
-    executor = driver.executor
-    batch = CommandBatch()
-    _serve_commands(
-        batch,
-        executor.geometry,
-        executor.mapper.channel_of,
-        dest_frames,
-        n_bits,
-    )
-    for c, frame in enumerate(dest_frames):
-        executor.memory.write_frame(frame, rows[c])
-    acct = OpAccounting()
-    acct.absorb(executor.controller.execute_batch(batch))
-    acct.count_bits(n_bits)
-    driver.stats.accounting = driver.stats.accounting.merged(acct)
-    return OpResult(op=op, accounting=acct, steps=0, localities={})
 
 
 class PlanStats:
@@ -256,6 +232,7 @@ class _Item:
         "kind",  # "exec" | "serve"
         "rows",  # serve: cached rows (None when copied from a primary)
         "primary",  # serve: the exec _Item whose result this duplicates
+        "tmpl",  # serve, compiled: the ServeTemplate that prices it
         "cacheable",
         "has_dups",
     )
@@ -270,6 +247,7 @@ class _Item:
         self.kind = kind
         self.rows = None
         self.primary = None
+        self.tmpl = None
         self.cacheable = False
         self.has_dups = False
 
@@ -292,7 +270,7 @@ class _Wave:
 
 
 class _ResidentItem:
-    """One replayable cache serve: everything a re-serve needs.
+    """One recorded cache serve: what re-admitting it as a serve needs.
 
     Recorded whenever a compiled planner serves a request straight from
     the sub-result cache.  The store is *content-addressed*: the lookup
@@ -302,28 +280,23 @@ class _ResidentItem:
     meaningless across calls, while the expression key pins both the
     operand contents (leaf frames + versions) and the command pricing
     (bit widths; the channel layout fixes the serve command columns).
-    Destination frames are taken fresh from the live request at replay
-    time; everything content- and price-dependent is reused.
+    Destination frames come from the live request and rows from the
+    cache at replay time, so a record never keeps an evicted entry's
+    rows alive.
     """
 
     __slots__ = (
         "key",  # canonical expression key
-        "n_chunks",
         "leaves",  # frozenset of the expression's transitive leaf frames
-        "result",  # the (shared, read-only) OpResult
-        "entry",  # the CacheEntry served at record time
-        "rows",  # the entry's first n_chunks rows
-        "frozen",  # the serve template's memo-priced frozen batch
+        "n_chunks",
+        "template",  # the ServeTemplate that prices the serve
     )
 
-    def __init__(self, key, n_chunks, leaves, result, entry, rows, frozen):
+    def __init__(self, key, leaves, n_chunks, template):
         self.key = key
-        self.n_chunks = n_chunks
         self.leaves = leaves
-        self.result = result
-        self.entry = entry
-        self.rows = rows
-        self.frozen = frozen
+        self.n_chunks = n_chunks
+        self.template = template
 
 
 class _Stamp:
@@ -343,9 +316,6 @@ class _Stamp:
         self.epoch = epoch
         self.evictions = evictions
 
-
-#: shared read-only wave for leaf-key resolution outside planning
-_EMPTY_WAVE = _Wave()
 
 #: cap on retained resident serve items per planner
 _MAX_RESIDENT = 4096
@@ -390,9 +360,6 @@ class QueryPlanner:
         #: vid -> [n_chunks, frames, stamp, leaf key, leaf frames] --
         #: raw-operand key memo
         self._leaf_keys: "OrderedDict[int, list]" = OrderedDict()
-        #: serve-wave composition (tuple of templates) -> frozen batch,
-        #: so recurring compositions reuse one memo-priced batch object
-        self._serve_batches: Dict[tuple, object] = {}
         #: frames tuple -> packed channel layout; pure (the mapping is
         #: geometry, not state) and scratch frames rotate through a
         #: finite pool, so the same tuples recur indefinitely
@@ -634,7 +601,7 @@ class QueryPlanner:
                 i = 0
                 while i < n:
                     if probe:
-                        k = self._try_replay(reqs, i, results, wave)
+                        k = self._try_replay(reqs, i, wave)
                         if k:
                             i += k
                             continue
@@ -654,37 +621,26 @@ class QueryPlanner:
             self._chan_bytes[frames] = chan
         return chan
 
-    def _req_part(self, req: PimRequest, pending, wave: _Wave) -> tuple:
-        """One request's resident-store lookup part.
+    def _req_part(self, req: PimRequest, wave: _Wave) -> tuple:
+        """One request's resident-store lookup part and destination.
 
         ``(canonical expression key, overlap flag, destination channel
-        layout)`` -- resolved through the same pending/bound/leaf memos
-        the interpreted path consults (including the live wave's
-        bindings, so a source fed by a still-pending destination gets
-        its pending expression key, never a stale one), so the
-        expression key embeds operand identity and content (leaf frames
-        + versions) while the channel layout fixes the serve pricing.
-        Raw destination frame numbers are deliberately absent: scratch
-        rotates through physical rows between queries, and a replay
-        writes to whatever frames the live requests name.
+        layout)`` -- resolved through the same bound/leaf memos the
+        interpreted path consults, live wave bindings included (a
+        source fed by a pending destination gets its pending expression
+        key), so the expression key embeds operand identity and content
+        (leaf frames + versions) while the channel layout fixes the
+        serve pricing.  Raw destination frame numbers are deliberately
+        absent: scratch rotates through physical rows between queries,
+        and a replay writes to whatever frames the live request names.
         """
         n_chunks = self.geometry.rows_for_bits(req.n_bits)
-        children = []
-        for src in req.sources:
-            bound = pending.get(src.vid)
-            if bound is not None:
-                bframes, bkey = bound
-                if (
-                    len(bframes) >= n_chunks
-                    and bframes[:n_chunks] == src.frames[:n_chunks]
-                ):
-                    children.append(bkey)
-                    continue
-            children.append(self._leaf_key(src, n_chunks, wave)[0])
-        key = self._canon(req.op, req.n_bits, children)
+        key = self._canon(req.op, req.n_bits, [
+            self._leaf_key(src, n_chunks, wave)[0] for src in req.sources
+        ])
         dest_frames = req.dest.frames[:n_chunks]
         part = (key, req.overlap_chunks, self._channels_bytes(dest_frames))
-        return key, part, dest_frames
+        return part, dest_frames
 
     def _canon(self, op, n_bits: int, children: list) -> tuple:
         """Canonical request key, memoized on the submission-order
@@ -703,159 +659,42 @@ class QueryPlanner:
         self._canon_keys[raw] = key
         return key
 
-    def _try_replay(
-        self, reqs: List[PimRequest], i: int, results, wave: _Wave
-    ) -> int:
-        """Replay the longest run of recorded serves starting at ``i``.
+    def _try_replay(self, reqs: List[PimRequest], i: int, wave: _Wave) -> int:
+        """Admit the longest run of recorded cache serves starting at ``i``.
 
-        Returns the number of requests consumed (0 when request ``i``
-        has no valid resident entry).  Requests are matched greedily:
-        each one's key part is resolved (with pending bindings emulated
-        for intra-run chains, exactly as planning would bind them) and
-        looked up in the resident store; the run ends at the first
-        request that misses, fails validation (cache entry gone, a
-        destination aliasing its expression's leaves, or a destination
-        touching frames the pending wave will read or write -- a replay
-        commits *now*, so it must not reorder against unflushed items),
-        or is simply not a recorded serve.  Validation happens *before*
-        any observable side effect; only then is the whole run
-        committed -- same tallies, writes, pricing, and bindings as the
-        interpreted serve.
+        Returns the number of requests admitted (0 when request ``i``
+        has no resident record whose sub-result is still cached).  A
+        match skips operand-set and hazard bookkeeping, nothing else: it
+        joins the wave as the serve item :meth:`_plan_one`'s cache-hit
+        branch would build, and the flush writes, prices and binds it.
+        A pending exec key never matches, since it missed the cache and
+        the cache only grows at a flush.  The run ends at the first
+        request that is not a recorded serve, whose entry is gone, or
+        whose destination aliases its expression's leaves.
         """
         resident = self._resident
-        peek = self.cache.peek
-        pending: Dict[int, tuple] = {}
-        matched = []  # (req, res, dest_frames, entry, part)
-        blocked = wave.exec_writes | wave.serve_writes | wave.exec_reads
+        peek, get = self.cache.peek, self.cache.get
         n = len(reqs)
         j = i
         while j < n:
             req = reqs[j]
-            key, part, dest = self._req_part(req, pending, wave)
+            part, dest = self._req_part(req, wave)
             res = resident.get(part)
-            if res is None:
+            if res is None or not res.leaves.isdisjoint(dest):
                 break
-            entry = peek(res.key)
-            if entry is None:
+            if peek(res.key) is None:
                 break
-            if not res.leaves.isdisjoint(dest):
-                break  # aliased: the full path must execute it
-            if blocked and not blocked.isdisjoint(dest):
-                break  # would reorder against the pending wave
-            matched.append((req, res, dest, entry, part))
-            pending[req.dest.vid] = (dest, key)
+            resident.move_to_end(part)
+            self.stats.requests += 1
+            self._admit_cached(j, req, res.key, res.leaves, dest, res.n_chunks,
+                               get(res.key).rows, wave, res.template)
             j += 1
-        if not matched:
-            return 0
-
-        # -- committed: replay with the interpreted path's side effects --
-        k = len(matched)
-        stats = self.stats
-        stats.requests += k
-        _PLANNED.add(k)
-        cache_get = self.cache.get
-        for _req, res, _dest, _entry, _part in matched:
-            cache_get(res.key)  # guaranteed hit: tally + LRU touch
-        stats.cache_hits += k
-        stats.waves += 1
-        stats.serve_replays += 1
-        _SERVE_REPLAYS.add()
-        with telemetry.span("plan.cache.serve", served=k):
-            farrs = []
-            rows_parts = []
-            for _req, res, dest, entry, _part in matched:
-                if entry is not res.entry:
-                    # same key, re-inserted entry: identical values,
-                    # fresh arrays -- refresh the snapshot
-                    res.entry = entry
-                    res.rows = entry.rows[: res.n_chunks]
-                farrs.append(
-                    np.fromiter(dest, dtype=np.intp, count=res.n_chunks)
-                )
-                rows_parts.append(res.rows)
-            if k == 1:
-                frames_arr = farrs[0]
-                rows_2d = rows_parts[0]
-            else:
-                frames_arr = np.concatenate(farrs)
-                rows_2d = np.concatenate(rows_parts)
-            self.memory.write_frames(frames_arr, rows_2d)
-            execute_batch = self.executor.controller.execute_batch
-            latency = 0.0
-            energy = 0.0
-            driver_acct = None
-            for _req, res, _dest, _entry, _part in matched:
-                total, _per_item = execute_batch(res.frozen, split_ops=True)
-                latency += total.latency
-                energy += total.energy
-                acct = res.result.accounting
-                if driver_acct is None:
-                    driver_acct = self.driver.stats.accounting.merged(acct)
-                else:
-                    driver_acct.merge_from(acct)
-            self.driver.stats.accounting = driver_acct
-            stats.served_latency_s += latency
-            stats.served_energy_j += energy
-        versions = self._versions
-        bound = self._bound
-        # one fancy-index + one reduction for every binding snapshot:
-        # the run's frames are already concatenated in ``frames_arr``
-        all_snap = versions[frames_arr]
-        starts = 0
-        vsums = None
-        if k > 1 and all(m[1].n_chunks == matched[0][1].n_chunks for m in matched):
-            n_c = matched[0][1].n_chunks
-            all_snap = all_snap.reshape(k, n_c)
-            vsums = all_snap.sum(axis=1)
-        for idx, (req, res, dest, _entry, part) in enumerate(matched):
-            results[i + idx] = res.result
-            resident.move_to_end(part)
-            farr = farrs[idx]
-            vid = req.dest.vid
-            if vsums is not None:
-                snapshot = all_snap[idx]
-                vsum = int(vsums[idx])
-            else:
-                snapshot = all_snap[starts : starts + res.n_chunks]
-                starts += res.n_chunks
-                vsum = int(snapshot.sum())
-            bound[vid] = [
-                dest, self.stamp(farr, vsum), snapshot, res.key, res.leaves,
-            ]
-            bound.move_to_end(vid)
-        while len(bound) > _MAX_BINDINGS:
-            bound.popitem(last=False)
+        k = j - i
+        if k:
+            _PLANNED.add(k)
+            self.stats.serve_replays += 1
+            _SERVE_REPLAYS.add()
         return k
-
-    def _record_resident(self, items: List[_Item], results: list) -> None:
-        """Snapshot a wave's cache-served items for content replay."""
-        resident = self._resident
-        peek = self.cache.peek
-        get_tmpl = self._serve_templates.get
-        channels_bytes = self._channels_bytes
-        for it in items:
-            if it.rows is None:
-                continue  # CSE copy of an exec primary: not cache-backed
-            entry = peek(it.key)
-            if entry is None or entry.rows is not it.rows:
-                continue
-            chan = channels_bytes(it.dest_frames)
-            tmpl = get_tmpl((it.req.n_bits, chan))
-            if tmpl is None:  # pragma: no cover - serve always populates it
-                continue
-            part = (it.key, it.req.overlap_chunks, chan)
-            resident[part] = _ResidentItem(
-                it.key,
-                it.n_chunks,
-                it.leaves,
-                results[it.index],
-                entry,
-                it.rows[: it.n_chunks],
-                tmpl.frozen,
-            )
-            resident.move_to_end(part)
-        while len(resident) > _MAX_RESIDENT:
-            resident.popitem(last=False)
 
     # -- planning ------------------------------------------------------------
 
@@ -884,11 +723,8 @@ class QueryPlanner:
                     return
                 entry = self.cache.get(key)
                 if entry is not None:
-                    item = _Item(index, req, key, leaves, dest_frames,
-                                 n_chunks, "serve")
-                    item.rows = entry.rows
-                    self.stats.cache_hits += 1
-                    self._admit_serve(item, wave)
+                    self._admit_cached(index, req, key, leaves, dest_frames,
+                                       n_chunks, entry.rows, wave)
                     return
                 self.stats.cache_misses += 1
 
@@ -923,9 +759,19 @@ class QueryPlanner:
             wave.bind[req.dest.vid] = (dest_frames, key, leaves)
             return
 
+    def _admit_cached(self, index, req, key, leaves, dest_frames, n_chunks,
+                      rows, wave: _Wave, tmpl=None) -> None:
+        """Admit a cache hit (its ``cache.get`` already made) as a serve
+        item over the entry's ``rows``."""
+        item = _Item(index, req, key, leaves, dest_frames, n_chunks, "serve")
+        item.rows = rows
+        item.tmpl = tmpl
+        self.stats.cache_hits += 1
+        self._admit_serve(item, wave)
+
     def _admit_serve(self, item: _Item, wave: _Wave) -> None:
         wave.items.append(item)
-        wave.serve_writes |= set(item.dest_frames)
+        wave.serve_writes.update(item.dest_frames)
         wave.bind[item.req.dest.vid] = (item.dest_frames, item.key, item.leaves)
 
     # -- wave execution ------------------------------------------------------
@@ -957,29 +803,33 @@ class QueryPlanner:
 
         if serve_items:
             self._serve(serve_items, primary_rows, results)
-            if self.compile_enabled:
-                self._record_resident(serve_items, results)
 
         # Persistent bindings: every destination now holds its
         # expression's value; snapshot the (final) versions so any later
         # write is detected.  Submission order makes the last writer of
-        # a vid win.
-        versions = self._versions
-        for it in wave.items:
-            farr = np.fromiter(
-                it.dest_frames, dtype=np.intp, count=it.n_chunks
-            )
-            snapshot = versions[farr]
-            self._bound[it.req.dest.vid] = [
+        # a vid win.  One gather and one segmented sum serve the wave.
+        items = wave.items
+        counts = [it.n_chunks for it in items]
+        farr_all = np.fromiter(
+            chain.from_iterable(it.dest_frames for it in items),
+            dtype=np.intp, count=sum(counts),
+        )
+        snap_all = self._versions[farr_all]
+        starts = np.cumsum([0] + counts[:-1]).tolist()
+        vsums = np.add.reduceat(snap_all, starts).tolist()
+        bound = self._bound
+        for it, s, n, vsum in zip(items, starts, counts, vsums):
+            vid = it.req.dest.vid
+            bound[vid] = [
                 it.dest_frames,
-                self.stamp(farr, int(snapshot.sum())),
-                snapshot,
+                self.stamp(farr_all[s:s + n], vsum),
+                snap_all[s:s + n],
                 it.key,
                 it.leaves,
             ]
-            self._bound.move_to_end(it.req.dest.vid)
-        while len(self._bound) > _MAX_BINDINGS:
-            self._bound.popitem(last=False)
+            bound.move_to_end(vid)
+        while len(bound) > _MAX_BINDINGS:
+            bound.popitem(last=False)
 
         wave.items.clear()
         wave.keys.clear()
@@ -1155,13 +1005,13 @@ class QueryPlanner:
         primary_rows: Dict[int, np.ndarray],
         results: list,
     ) -> None:
-        """Materialise every serve item (submission order) in one priced
-        command batch: a fenced row-buffer read per chunk."""
+        """Materialise every serve item in submission order, each priced
+        as a fenced row-buffer read per chunk."""
         with telemetry.span(
             "plan.cache.serve", served=len(serve_items)
         ):
             if self.compile_enabled:
-                total, per_item = self._serve_compiled(serve_items, primary_rows)
+                served = self._serve_compiled(serve_items, primary_rows)
             else:
                 batch = CommandBatch()
                 geometry = self.geometry
@@ -1179,80 +1029,73 @@ class QueryPlanner:
                     )
                     for c, frame in enumerate(it.dest_frames):
                         write_frame(frame, rows[c])
-                total, per_item = self.executor.controller.execute_batch(
+                _total, per_item = self.executor.controller.execute_batch(
                     batch, split_ops=True
                 )
+                served = [
+                    _serve_result(it.req.op, item_stats, it.req.n_bits)
+                    for it, item_stats in zip(serve_items, per_item)
+                ]
             # accumulate the wave in place (bit-identical to the
             # per-item merged() chain -- see OpAccounting.merge_from)
             driver_acct = None
-            for it, stats in zip(serve_items, per_item):
-                acct = OpAccounting()
-                acct.absorb(stats)
-                acct.count_bits(it.req.n_bits)
-                results[it.index] = OpResult(
-                    op=it.req.op, accounting=acct, steps=0, localities={}
-                )
+            stats = self.stats
+            for it, result in zip(serve_items, served):
+                results[it.index] = result
+                acct = result.accounting
                 if driver_acct is None:
                     driver_acct = self.driver.stats.accounting.merged(acct)
                 else:
                     driver_acct.merge_from(acct)
-            if driver_acct is not None:
-                self.driver.stats.accounting = driver_acct
-            self.stats.served_latency_s += total.latency
-            self.stats.served_energy_j += total.energy
+                stats.served_latency_s += acct.latency
+                stats.served_energy_j += acct.energy
+            self.driver.stats.accounting = driver_acct
 
     def _serve_compiled(
         self, serve_items: List[_Item], primary_rows: Dict[int, np.ndarray]
-    ):
-        """Template-driven serve path: command columns come from cached
-        :class:`~repro.plan.compile.ServeTemplate` objects keyed by
-        ``(n_bits, per-chunk channels)``, destination rows land in one
-        batched :meth:`MainMemory.write_frames` pass.  The templates are
-        column-for-column what :func:`_serve_commands` emits, so pricing,
-        write counts, and listener order match the interpreted serve
-        exactly."""
-        mapper = self.executor.mapper
-        templates = []
+    ) -> List[OpResult]:
+        """Template-driven serve path: every item prices its template's
+        memoized frozen batch (a pure function of ``(n_bits, per-chunk
+        channels)``, see :class:`~repro.plan.compile.ServeTemplate`) and
+        returns the template's shared result, and the destination rows
+        land in one :meth:`MainMemory.write_frames` pass.  A cache serve
+        that planning (not :meth:`_try_replay`) admitted is recorded in
+        the resident store here."""
+        templates = self._serve_templates
+        resident = self._resident
+        execute_batch = self.executor.controller.execute_batch
         frames_all: List[int] = []
         rows_parts = []
-        get_tmpl = self._serve_templates.get
-        channels_bytes = self._channels_bytes
+        served = []
         for it in serve_items:
-            rows = (
-                it.rows if it.rows is not None else primary_rows[id(it.primary)]
-            )
-            tkey = (it.req.n_bits, channels_bytes(it.dest_frames))
-            tmpl = get_tmpl(tkey)
+            op, n_bits = it.req.op, it.req.n_bits
+            tmpl = it.tmpl
             if tmpl is None:
-                tmpl = build_serve_template(
-                    self.geometry, it.req.n_bits,
-                    mapper.channels_of(it.dest_frames),
-                )
-                self._serve_templates[tkey] = tmpl
-            templates.append(tmpl)
+                chan = self._channels_bytes(it.dest_frames)
+                tmpl = templates.get((n_bits, chan))
+                if tmpl is None:
+                    tmpl = templates[(n_bits, chan)] = build_serve_template(
+                        self.geometry, n_bits,
+                        self.executor.mapper.channels_of(it.dest_frames),
+                    )
+                if it.rows is not None:  # not a CSE copy of an exec item
+                    part = (it.key, it.req.overlap_chunks, chan)
+                    resident[part] = _ResidentItem(
+                        it.key, it.leaves, it.n_chunks, tmpl
+                    )
+                    resident.move_to_end(part)
+            _total, (item_stats,) = execute_batch(tmpl.frozen, split_ops=True)
+            result = tmpl.results.get(op)
+            if result is None:
+                result = tmpl.results[op] = _serve_result(op, item_stats, n_bits)
+            served.append(result)
             frames_all.extend(it.dest_frames)
+            rows = it.rows if it.rows is not None else primary_rows[id(it.primary)]
             rows_parts.append(rows[: it.n_chunks])
+        while len(resident) > _MAX_RESIDENT:
+            resident.popitem(last=False)
         self.memory.write_frames(
             frames_all,
             rows_parts[0] if len(rows_parts) == 1 else np.concatenate(rows_parts),
         )
-        return self.executor.controller.execute_batch(
-            self._frozen_for(templates), split_ops=True
-        )
-
-    def _frozen_for(self, templates: list):
-        """The interned frozen batch of a serve-wave composition.
-
-        A stable batch object per composition lets the controller's
-        price memo absorb repeats of the same serve wave.
-        """
-        if len(templates) == 1:
-            return templates[0].frozen
-        ckey = tuple(templates)
-        frozen = self._serve_batches.get(ckey)
-        if frozen is None:
-            if len(self._serve_batches) >= 8192:
-                self._serve_batches.clear()
-            frozen = concat_serve_templates(templates)
-            self._serve_batches[ckey] = frozen
-        return frozen
+        return served

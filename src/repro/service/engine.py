@@ -24,7 +24,6 @@ the service's numpy-oracle parity checks compare against.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -72,9 +71,8 @@ class ServiceCall:
     """One request lowered to engine vocabulary: op over named vectors.
 
     Analytics requests carry their ``(filters, aggregate)`` spec in
-    ``analytics``; plain bitwise reads leave it ``None``.  Analytics
-    calls never fold (:meth:`ServiceEngine.call_key` opts them out) but
-    ride the same coalesced batches.
+    ``analytics``; plain bitwise reads leave it ``None``.  Both ride the
+    same coalesced batches.
     """
 
     tenant: str
@@ -162,23 +160,6 @@ class ServiceEngine:
         """Run one coalesced batch; one result per call, in call order."""
         raise NotImplementedError
 
-    def call_key(self, call: ServiceCall) -> Optional[tuple]:
-        """Content identity of a call, or None when folding is unsafe.
-
-        Two calls with equal keys compute the same bits even across
-        tenants (keys hash vector *content*, not names), so the
-        scheduler may execute one and :meth:`replay` the other.  The
-        base engine opts out: returning None keeps every call on the
-        execute path.
-        """
-        return None
-
-    def replay(self, call: ServiceCall, primary: ExecutedCall) -> ExecutedCall:
-        """Serve ``call`` from an equal-key ``primary`` already executed
-        in the same batch, with its own result buffer and honest (hit)
-        pricing."""
-        raise NotImplementedError
-
     @property
     def n_shards(self) -> int:
         """Independent placement shards requests can overlap across."""
@@ -226,7 +207,6 @@ class ResidentPimEngine(ServiceEngine):
         )
         self._handles: Dict[Tuple[str, str], object] = {}
         self._host: Dict[Tuple[str, str], np.ndarray] = {}
-        self._digests: Dict[Tuple[str, str], str] = {}
         self._tenant_shard: Dict[str, int] = {}
         #: per-(tenant, width) scratch pools for the arithmetic path;
         #: scratch allocates in the tenant's affinity group, so masks
@@ -261,9 +241,6 @@ class ResidentPimEngine(ServiceEngine):
         rt.pim_write(handle, bits)
         self._handles[key] = handle
         self._host[key] = bits.copy()
-        # content digest: what makes cross-tenant duplicate detection
-        # name-independent (same bits under different names/tenants fold)
-        self._digests[key] = hashlib.sha1(bits.tobytes()).hexdigest()
         if tenant not in self._tenant_shard:
             addr = rt.manager.frame_address(handle.frames[0])
             g = rt.system.geometry
@@ -294,7 +271,6 @@ class ResidentPimEngine(ServiceEngine):
         rt.pim_write(handle, bits)
         changed = int(np.count_nonzero(old != bits))
         self._host[key] = bits.copy()
-        self._digests[key] = hashlib.sha1(bits.tobytes()).hexdigest()
         return ExecutedCall(
             bits=np.zeros(0, dtype=np.uint8),
             popcount=changed,
@@ -324,7 +300,6 @@ class ResidentPimEngine(ServiceEngine):
             # runtime drops every cached sub-result reading these frames
             self.runtime.pim_free(self._handles.pop(key))
             del self._host[key]
-            del self._digests[key]
         for pool_key in [k for k in self._arith_pools if k[0] == tenant]:
             self._arith_pools.pop(pool_key).free_all()
         self._tenant_shard.pop(tenant, None)
@@ -485,62 +460,11 @@ class ResidentPimEngine(ServiceEngine):
 
         return pool, evaluate, lambda: list(handles.values()) + pool._constants
 
-    def call_key(self, call: ServiceCall) -> Optional[tuple]:
-        """(op, n_bits, canonical operand digests) -- content identity.
-
-        Operand digests canonicalise exactly like the planner's
-        expression keys: OR/AND are commutative *and* idempotent
-        (sorted set), XOR is commutative only (sorted multiset), INV
-        keeps its single operand.  Analytics calls opt out of folding
-        (their result is a kernel sequence, not one op's bits).
-        """
-        if call.analytics is not None:
-            return None
-        digests = []
-        sizes = []
-        for n in call.names:
-            key = (call.tenant, n)
-            digest = self._digests.get(key)
-            if digest is None:
-                return None
-            digests.append(digest)
-            sizes.append(self._handles[key].n_bits)
-        op = call.op
-        if op in ("or", "and"):
-            operands = tuple(sorted(set(digests)))
-        elif op == "xor":
-            operands = tuple(sorted(digests))
-        else:
-            operands = tuple(digests)
-        return (op, min(sizes), operands)
-
     def replay(self, call: ServiceCall, primary: ExecutedCall) -> ExecutedCall:
-        """Forward an equal-content primary result into a fresh buffer in
-        the duplicate tenant's placement group, priced as a row-buffer
-        read (see :func:`repro.plan.forward_rows`) -- nonzero simulated
-        cost, but no re-execution and no NVM write-back."""
-        from repro.plan import forward_rows
-
-        rt = self.runtime
-        n_bits = int(primary.bits.size)
-        dest = rt.pim_malloc(n_bits, self.group_of(call.tenant))
-        g = rt.system.geometry
-        n_chunks = g.rows_for_bits(n_bits)
-        padded = np.zeros(n_chunks * g.row_bits, dtype=np.uint8)
-        padded[:n_bits] = primary.bits
-        rows = np.packbits(
-            padded.reshape(n_chunks, g.row_bits), axis=1, bitorder="little"
-        )
-        result = forward_rows(rt.driver, list(dest.frames), rows, n_bits)
-        rt.pim_free(dest)
-        return ExecutedCall(
-            bits=primary.bits.copy(),
-            popcount=primary.popcount,
-            latency_s=result.latency * self.config.timing_scale,
-            energy_j=result.energy * self.config.energy_scale,
-            steps=0,
-            in_memory=True,
-        )
+        """Never called: the scheduler no longer folds equal-content
+        calls.  The name stays because ``benchmarks/e2e``'s ledger
+        wraps ``ResidentPimEngine.replay``; drop both together."""
+        raise NotImplementedError("equal-content calls are not folded")
 
     def wear_monitor(self) -> WearMonitor:
         return WearMonitor(

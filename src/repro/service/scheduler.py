@@ -40,18 +40,17 @@ from repro.service.request import QueryRequest
 
 __all__ = ["BatchPricing", "CoalescingScheduler", "SchedulerConfig"]
 
-#: always-live tally of duplicate calls served by replay instead of
-#: execution (per-scheduler detail on ``CoalescingScheduler.folds``)
-_CSE_FOLDS = telemetry.counter("service.scheduler.cse_folds")
+#: stays 0 now that content folding is gone; benchmarks/e2e --trace reads it
+telemetry.counter("service.scheduler.cse_folds")
 #: non-empty batches dispatched, and the size of the most recent one --
 #: read next to the plan.compile.* counters to see how much of the
 #: dispatch stream the kernel compiler is absorbing
 _DISPATCHES = telemetry.counter("service.scheduler.dispatches")
 _BATCH_SIZE = telemetry.gauge("service.scheduler.batch_size")
 #: analytics reads dispatched.  They ride the same coalesced batches as
-#: plain reads but never fold: the engine runs each one through the
-#: analytics compiler, which replays a steady program after the same
-#: planner validity check every replay takes (``plan.analytics.replays``).
+#: plain reads; the engine runs each one through the analytics compiler,
+#: which replays a steady program after the same planner validity check
+#: every replay takes (``plan.analytics.replays``).
 _ANALYTICS_CALLS = telemetry.counter("service.scheduler.analytics_calls")
 
 
@@ -65,10 +64,6 @@ class SchedulerConfig:
     #: per-dispatch issue cost: driver scheduling + mode-register
     #: programming + command-stream setup, paid once per batch (s)
     dispatch_overhead_s: float = 1e-6
-    #: fold equal-content calls within a batch into one execution plus
-    #: per-duplicate replays (engines that cannot prove content equality
-    #: return None from ``call_key`` and opt out per call)
-    fold_duplicates: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -96,7 +91,6 @@ class CoalescingScheduler:
         self.config = config
         self.engine = engine
         self._rr_offset = 0  # rotating round-robin start position
-        self.folds = 0  # duplicate calls served by replay
 
     # -- collection ----------------------------------------------------------
 
@@ -190,7 +184,7 @@ class CoalescingScheduler:
             for r in updates
         ]
         if reads:
-            executed += self._execute_folded(
+            executed += self.engine.execute(
                 [request_call(request) for request in reads]
             )
         return batch, executed, self.price(batch, executed)
@@ -199,48 +193,14 @@ class CoalescingScheduler:
         """Execute extra calls riding the current dispatch.
 
         The service uses this for standing-query refreshes triggered by
-        the batch's updates: they run through the same folding path and
-        are priced by the caller *together with* the batch (one combined
-        :meth:`price` call), so a refresh shares the dispatch overhead
-        and serialises on its tenant's shard like any batched read.
+        the batch's updates: they are priced by the caller *together
+        with* the batch (one combined :meth:`price` call), so a refresh
+        shares the dispatch overhead and serialises on its tenant's
+        shard like any batched read.
         """
         if not calls:
             return []
-        return self._execute_folded(list(calls))
-
-    def _execute_folded(self, calls: List) -> List[ExecutedCall]:
-        """Execute a call list with cross-tenant duplicate folding.
-
-        Equal-key calls (content equality, possibly across tenants)
-        execute once; every duplicate gets its own result buffer through
-        the engine's replay path at hit price.  Per-call ExecutedCalls
-        keep their tenant's attribution, so ServiceStats stay per-tenant
-        correct.
-        """
-        if not self.config.fold_duplicates:
-            return self.engine.execute(calls)
-        keys = [self.engine.call_key(call) for call in calls]
-        primary_of: Dict[tuple, int] = {}
-        unique: List[int] = []
-        for i, key in enumerate(keys):
-            if key is None or key not in primary_of:
-                if key is not None:
-                    primary_of[key] = i
-                unique.append(i)
-        if len(unique) == len(calls):
-            return self.engine.execute(calls)
-        executed = dict(
-            zip(unique, self.engine.execute([calls[i] for i in unique]))
-        )
-        out: List[ExecutedCall] = []
-        for i, (call, key) in enumerate(zip(calls, keys)):
-            done = executed.get(i)
-            if done is None:
-                done = self.engine.replay(call, executed[primary_of[key]])
-                self.folds += 1
-                _CSE_FOLDS.add()
-            out.append(done)
-        return out
+        return self.engine.execute(list(calls))
 
 
 def request_call(request: QueryRequest):

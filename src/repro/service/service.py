@@ -108,8 +108,6 @@ class ServiceConfig:
     max_batch: int = 16
     #: per-dispatch command-stream issue cost (s)
     dispatch_overhead_s: float = 1e-6
-    #: fold equal-content requests (cross-tenant CSE) within a batch
-    fold_duplicates: bool = True
     #: quota applied to tenants registered without an explicit one
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     #: keep per-request result bits on the QueryResult (parity tests;
@@ -155,7 +153,6 @@ class BitmapQueryService:
             SchedulerConfig(
                 max_batch=self.config.max_batch,
                 dispatch_overhead_s=self.config.dispatch_overhead_s,
-                fold_duplicates=self.config.fold_duplicates,
             ),
             self.engine,
         )

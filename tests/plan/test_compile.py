@@ -140,6 +140,76 @@ class TestCompiledVsInterpretedOps:
         assert rt_c.plan_stats.program_hits >= 1
         assert rt_i.plan_stats.compilations == 0
 
+    def test_served_destination_read_by_later_exec_request(self):
+        """The analytics shape compare -> AND -> INV: a cache-served
+        destination is read by a later exec-bound request of the same
+        ``pim_op_many``.  Once the resident store is warm the compiled
+        planner must still order that serve inside the wave exactly as
+        the interpreter does -- same hazard flushes, same mode switches,
+        same per-request cost."""
+
+        def run(compile_):
+            rt = _runtime(compile_=compile_)
+            (a, b, c), _ = _loaded(rt)
+            rng = np.random.default_rng(3)
+            results = []
+            for _ in range(5):
+                v = rt.pim_malloc(N)  # fresh operand: never cached
+                rt.pim_write(v, rng.integers(0, 2, N, dtype=np.uint8))
+                e1, d1, d2, e3, d3 = (rt.pim_malloc(N) for _ in range(5))
+                results.extend(rt.pim_op_many([
+                    ("xor", e1, [v, c]),
+                    ("or", d1, [a, b]),  # cache-served from pass two on
+                    ("and", d2, [d1, v]),  # reads the served destination
+                    ("xor", e3, [v, b]),
+                    ("inv", d3, [d2]),
+                ]))
+            return rt, results
+
+        rt_c, res_c = run(True)
+        rt_i, res_i = run(False)
+        assert rt_c.plan_stats.serve_replays >= 1
+        assert rt_c.plan_stats.hazard_flushes == rt_i.plan_stats.hazard_flushes
+        assert rt_c.driver.stats.mode_switches == rt_i.driver.stats.mode_switches
+        for rc, ri in zip(res_c, res_i):
+            assert _rel_close(rc.latency, ri.latency)
+            assert _rel_close(rc.energy, ri.energy)
+
+    def test_replayed_run_resolves_chains_inside_the_run(self):
+        """A recurring all-cached chain (each request reads the previous
+        one's destination) replays as one run: the wave's pending
+        bindings give each reader its producer's expression key, so the
+        run matches numpy bits and the interpreter's tallies and cost."""
+
+        def run(compile_):
+            rt = _runtime(compile_=compile_)
+            (a, b, c), (ba, bb, bc) = _loaded(rt)
+            want = [ba | bb, (ba | bb) & bc, ((ba | bb) & bc) ^ ba, bb | bc]
+            results = []
+            for _ in range(4):
+                d1, d2, d3, d4 = (rt.pim_malloc(N) for _ in range(4))
+                results.extend(rt.pim_op_many([
+                    ("or", d1, [a, b]),
+                    ("and", d2, [d1, c]),
+                    ("xor", d3, [d2, a]),
+                    ("or", d4, [b, c]),
+                ]))
+                for d, bits in zip((d1, d2, d3, d4), want):
+                    assert np.array_equal(rt.pim_read(d), bits)
+            return rt.plan_stats, results
+
+        stats_c, res_c = run(True)
+        stats_i, res_i = run(False)
+        # pass one executes, pass two serves (and records), passes three
+        # and four each replay all four requests as one run -- a chain
+        # link resolved without the wave would split it in two
+        assert stats_c.serve_replays == 2
+        assert stats_c.cache_hits == stats_i.cache_hits == 12
+        assert stats_c.waves == stats_i.waves
+        for rc, ri in zip(res_c, res_i):
+            assert _rel_close(rc.latency, ri.latency)
+            assert _rel_close(rc.energy, ri.energy)
+
     def test_to_host_parity(self):
         rt_c = _runtime(compile_=True)
         rt_i = _runtime(compile_=False)

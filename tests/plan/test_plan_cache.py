@@ -1,5 +1,8 @@
 """Tests for the query-plan compiler and the write-invalidated cache."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,34 @@ class TestSubResultCache:
         assert np.array_equal(rt.pim_read(d[0]), ba | bb)
         assert np.array_equal(rt.pim_read(d[1]), bb | bc)
         assert np.array_equal(rt.pim_read(d[2]), ba ^ bc)
+
+
+    def test_evicted_entry_rows_are_released(self):
+        """A replayed serve's record must not pin its cache entry: once
+        evicted, the entry's rows are garbage, so the planner's memory
+        stays inside ``plan_cache_bytes``."""
+        # 8 shards of 4 rows each: one 3-chunk entry fits per shard
+        rt = _runtime(plan_cache_bytes=32 * GEOM.row_bytes)
+        (a, b), _ = _loaded(rt, n_vectors=2)
+        for _ in range(3):  # execute, serve (recorded), replay
+            rt.pim_op("or", rt.pim_malloc(N), [a, b])
+        assert rt.plan_stats.serve_replays >= 1
+        cache = rt.planner.cache
+        (entry,) = [e for shard in cache._shards for e in shard.values()]
+        key, rows = entry.key, weakref.ref(entry.rows)
+        del entry
+        rng = np.random.default_rng(0)
+        for _ in range(400):  # insert until the entry's shard evicts it
+            if cache.peek(key) is None:
+                break
+            v, d = rt.pim_malloc(N), rt.pim_malloc(N)
+            rt.pim_write(v, rng.integers(0, 2, N, dtype=np.uint8))
+            rt.pim_op("or", d, [v, a])
+            rt.pim_free(v)
+            rt.pim_free(d)
+        assert cache.peek(key) is None
+        gc.collect()
+        assert rows() is None
 
 
 class TestPlannedVsUnplanned:

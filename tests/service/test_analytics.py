@@ -311,3 +311,58 @@ class TestAnalyticsPrograms:
         self._stream(client, 3, 1.0)
         after = telemetry.counter("service.scheduler.analytics_calls").value
         assert after >= before + 3
+
+    def test_small_cache_engine_prices_like_interpreted_engine(self):
+        """Mixed analyze/OR batches on a small plan cache, analytics
+        compiler off: every call of the compiled engine costs what the
+        ``compile=False`` engine charges, with equal planner tallies --
+        cache serves replayed from the resident store keep the
+        interpreter's wave order."""
+        from repro.runtime.api import PimRuntime
+        from repro.service.engine import ResidentPimEngine, ServiceCall
+        from repro.service.request import bin_vector_name
+        from repro.service.service import ServiceConfig
+
+        config = ServiceConfig().system
+        data = dataset()
+        age = tuple(bitslice_vector_name("age", j) for j in range(6))
+        region = tuple(bin_vector_name("region", b) for b in range(8))
+
+        def engine(compile_):
+            eng = ResidentPimEngine(config, runtime=PimRuntime.from_config(
+                config, plan=True, plan_cache_bytes=1 << 20, compile=compile_,
+            ))
+            eng.analytics_compiler.enabled = False
+            for j, name in enumerate(age):
+                eng.load_vector("t", name, (data["age"] >> j & 1).astype(np.uint8))
+            for b, name in enumerate(region):
+                eng.load_vector("t", name, (data["region"] == b).astype(np.uint8))
+            return eng
+
+        def batch(rng):
+            calls = []
+            for _ in range(6):
+                lo = int(rng.integers(0, 4))
+                if rng.random() < 0.5:
+                    filters = (("cmp", "age", "ge", int(rng.integers(1, 63)), 6),
+                               ("range", "region", lo, lo + 2))
+                    calls.append(ServiceCall(
+                        "t", "and", age + region, analytics=(filters, ("count",))
+                    ))
+                else:
+                    calls.append(ServiceCall("t", "or", region[lo:lo + 2]))
+            return calls
+
+        compiled, interpreted = engine(True), engine(False)
+        rng = np.random.default_rng(1)
+        for _ in range(12):
+            calls = batch(rng)
+            for c, i in zip(compiled.execute(calls), interpreted.execute(calls)):
+                assert c.popcount == i.popcount
+                assert c.latency_s == pytest.approx(i.latency_s, rel=1e-9)
+                assert c.energy_j == pytest.approx(i.energy_j, rel=1e-9)
+        stats_c = compiled.runtime.plan_stats
+        stats_i = interpreted.runtime.plan_stats
+        assert stats_c.serve_replays >= 1
+        for tally in ("cache_hits", "cache_misses", "hazard_flushes"):
+            assert getattr(stats_c, tally) == getattr(stats_i, tally), tally
