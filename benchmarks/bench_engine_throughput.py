@@ -8,12 +8,21 @@ and one per query stream.  Every query's hits are checked against
 ``FastBitDB.query_oracle``, which evaluates the range predicates
 straight off the binned columns.
 
+A second, **accumulation** arm issues wide AND/XOR ops shaped like the
+e2e ``cold_wide`` workload: 2-16 operands of 4-row vectors, every chunk
+intra-subarray, so on PCM (one-step AND/XOR limit 2) each op runs
+``n - 1`` pairwise accumulation passes per chunk.  Its bits are checked
+against numpy and its pricing (1e-12 relative) against the serial
+combine-step reference; its rate is the best of several windows of at
+least 50 ms each.
+
 The benchmark measures the *simulator's own* wall-clock throughput
 (queries/second, priced commands/second and simulated ops/second); the
 simulated cost itself is pinned by ``tests/core/test_batch_equivalence.py``.
-``check_bench_regression.py`` guards the top-level ``queries_per_s``
-against the absolute floor committed in ``bench_baselines.json``.
-Results land in ``BENCH_engine.json`` at the repo root.
+``check_bench_regression.py`` guards the top-level ``queries_per_s`` and
+``accumulation_queries_per_s`` against the absolute floors committed in
+``bench_baselines.json``.  Results land in ``BENCH_engine.json`` at the
+repo root.
 """
 
 import json
@@ -113,6 +122,116 @@ def _run_engine_benchmark() -> dict:
     return result
 
 
+#: the e2e cold_wide geometry: 1024-bit rows, four subarrays per bank
+ACC_GEOM = MemoryGeometry(
+    channels=4,
+    ranks_per_channel=1,
+    chips_per_rank=1,
+    banks_per_chip=4,
+    subarrays_per_bank=4,
+    rows_per_subarray=256,
+    mats_per_subarray=1,
+    cols_per_mat=1024,
+    mux_ratio=8,
+)
+ACC_ROWS = 4  # chunks per vector
+ACC_VECTORS = 32
+ACC_DESTS = 8  # destination vectors, used round-robin
+ACC_OPS = 200
+ACC_WINDOW_S = 0.05
+ACC_WINDOWS = 5
+ACC_REL = 1e-12
+
+
+def _acc_frames(v: int) -> list:
+    """Vector ``v``: chunk ``c`` in subarray ``c`` of bank 0, row ``v``,
+    so every op's chunks are intra-subarray."""
+    return [
+        ACC_GEOM.rows_per_subarray * c + v for c in range(ACC_ROWS)
+    ]
+
+
+def _acc_stream(seed: int = 23) -> list:
+    """``ACC_OPS`` requests ``(op, dest, sources)`` of 2-16 operands."""
+    rng = np.random.default_rng(seed)
+    stream = []
+    for i in range(ACC_OPS):
+        op = ("and", "xor")[int(rng.integers(0, 2))]
+        n = int(rng.integers(2, 17))
+        srcs = rng.choice(ACC_VECTORS, size=n, replace=False)
+        dest = _acc_frames(ACC_VECTORS + i % ACC_DESTS)
+        stream.append((op, dest, [_acc_frames(int(v)) for v in srcs]))
+    return stream
+
+
+def _acc_system(data: np.ndarray) -> PinatuboSystem:
+    system = PinatuboSystem(get_technology("pcm"), ACC_GEOM)
+    for v in range(ACC_VECTORS):
+        system.executor.write_vector(_acc_frames(v), data[v])
+    return system
+
+
+def _play(system: PinatuboSystem, stream: list) -> list:
+    n_bits = ACC_ROWS * ACC_GEOM.row_bits
+    bitwise = system.executor.bitwise
+    return [bitwise(op, dest, srcs, n_bits) for op, dest, srcs in stream]
+
+
+def _run_accumulation_benchmark() -> dict:
+    """Oracle- and reference-checked wide AND/XOR stream; best-of-k rate."""
+    n_bits = ACC_ROWS * ACC_GEOM.row_bits
+    data = np.random.default_rng(29).integers(
+        0, 2, (ACC_VECTORS, n_bits), dtype=np.uint8
+    )
+    stream = _acc_stream()
+    system = _acc_system(data)
+    # the serial combine-step loop, the row-parallel path's reference
+    reference = _acc_system(data)
+    reference.executor._vector_chunks = lambda *args: None
+
+    steps = 0
+    for op, dest, srcs in stream:
+        got = system.executor.bitwise(op, dest, srcs, n_bits)
+        ref = reference.executor.bitwise(op, dest, srcs, n_bits)
+        ufunc = {"and": np.bitwise_and, "xor": np.bitwise_xor}[op]
+        oracle = ufunc.reduce(data[[f[0] for f in srcs]], axis=0)
+        bits, _ = system.executor.read_vector(dest, n_bits)
+        assert np.array_equal(bits, oracle), "accumulation bits differ from numpy"
+        assert got.steps == ref.steps == ACC_ROWS * (len(srcs) - 1)
+        assert abs(got.latency - ref.latency) <= ACC_REL * ref.latency
+        assert abs(got.energy - ref.energy) <= ACC_REL * ref.energy
+        steps += got.steps
+
+    best = 0.0
+    for _ in range(ACC_WINDOWS):
+        ops, t0 = 0, time.perf_counter()
+        while True:
+            _play(system, stream)
+            ops += len(stream)
+            elapsed = time.perf_counter() - t0
+            if elapsed >= ACC_WINDOW_S:
+                break
+        best = max(best, ops / elapsed)
+    return {
+        "n_ops": ACC_OPS,
+        "rows_per_vector": ACC_ROWS,
+        "operands": [2, 16],
+        "steps_per_op": steps / ACC_OPS,
+        "windows": ACC_WINDOWS,
+        "min_window_s": ACC_WINDOW_S,
+        "queries_per_s": best,
+    }
+
+
+def _run_benchmarks() -> dict:
+    """Both arms; the accumulation rate is also a top-level key so the
+    regression guard can floor it."""
+    result = _run_engine_benchmark()
+    result["accumulation"] = _run_accumulation_benchmark()
+    result["accumulation_queries_per_s"] = result["accumulation"]["queries_per_s"]
+    return result
+
+
 def _write_result(result: dict) -> None:
     try:
         from benchmarks.bench_io import write_bench
@@ -124,18 +243,20 @@ def _write_result(result: dict) -> None:
 
 def test_engine_throughput(once):
     """The 64-chunk, 100-query FastBit stream answers exactly as the
-    columnar oracle; writes BENCH_engine.json."""
-    result = once(_run_engine_benchmark)
+    columnar oracle and the accumulation stream as numpy and the serial
+    reference; writes BENCH_engine.json."""
+    result = once(_run_benchmarks)
     _write_result(result)
     print()
     print(
         f"engine throughput: batched {result['batched']['wall_s']:.2f}s, "
         f"{result['queries_per_s']:.0f} queries/s "
-        f"({result['batched']['commands_per_s']:.0f} cmd/s) -> {RESULT_PATH.name}"
+        f"({result['batched']['commands_per_s']:.0f} cmd/s), accumulation "
+        f"{result['accumulation_queries_per_s']:.0f} ops/s -> {RESULT_PATH.name}"
     )
 
 
 if __name__ == "__main__":
-    res = _run_engine_benchmark()
+    res = _run_benchmarks()
     _write_result(res)
     print(json.dumps(res, indent=2))

@@ -28,6 +28,20 @@ multi-chunk vector (longer than one rank row) executes its chunks
 serially -- the paper's "bit-vectors longer than 2^19 have to be mapped to
 multiple ranks that work in serial" (Fig. 9 turning point B).
 
+Functionally, a bulk op is one row-parallel numpy pass over all its
+chunks and steps (:meth:`PinatuboExecutor._vector_chunks`): the
+operand rows are gathered into one stack, step k's result is a prefix
+of ``ufunc.accumulate`` along the operand axis, and one popcount of
+``prev XOR out`` sizes every step's differential write.  Each chunk's
+steps are emitted as tiled copies of the cached step template, and
+the op's programs land with one ``write_frames`` call -- one write
+event per op, with the net delta.  The to-host emission shares the
+pass (its final step reads out instead of writing back).  The serial
+per-step loop (:meth:`PinatuboExecutor._chunk_bitwise`) is kept as the
+reference and runs only when an alias would make the step order
+observable: a repeated destination, a destination read by another
+chunk, or a multi-step chunk reading its own destination.
+
 Command pricing is **batched**: every logical operation (covering all
 its chunks and accumulation passes) is emitted as one
 :class:`~repro.memsim.controller.CommandBatch` and priced with a single
@@ -47,7 +61,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
-from repro.core.ops import OperandLimits, PimOp, operand_limits
+from repro.core.bitops import popcount_rows
+from repro.core.ops import BITWISE_UFUNCS, OperandLimits, PimOp, operand_limits
 from repro.core.stats import OpAccounting
 from repro.memsim.address import AddressMapper, OpLocality
 from repro.memsim.controller import (
@@ -220,7 +235,7 @@ class PinatuboExecutor:
             "core.executor.bitwise", op=op.value, n_bits=n_bits
         ) as sp:
             batch = CommandBatch()
-            total_steps, acct, localities = self._bitwise_into(
+            total_steps, acct, localities, _rows = self._bitwise_into(
                 batch, op, dest, sources, n_bits, n_chunks, overlap_chunks,
                 self._prevalidate_placement(dest, sources, n_chunks),
             )
@@ -273,7 +288,7 @@ class PinatuboExecutor:
                 parsed, chunk_locs
             ):
                 batch.mark()
-                steps, acct, localities = self._bitwise_into(
+                steps, acct, localities, _rows = self._bitwise_into(
                     batch, op, dest, sources, n_bits, n_chunks, overlap,
                     chunk_localities=locs,
                 )
@@ -320,96 +335,22 @@ class PinatuboExecutor:
             "core.executor.bitwise_to_host", op=op.value, n_bits=n_bits
         ) as sp:
             batch = CommandBatch()
-            chunk_localities = self._prevalidate_placement(scratch, sources, n_chunks)
-            acct = OpAccounting()
-            localities: Dict[OpLocality, int] = {}
-            vectorized = self._vector_chunks_to_host(
-                batch, op, scratch, sources, n_bits, n_chunks, chunk_localities,
-                acct, localities,
+            total_steps, acct, localities, rows = self._bitwise_into(
+                batch, op, scratch, sources, n_bits, n_chunks, False,
+                self._prevalidate_placement(scratch, sources, n_chunks),
+                emit_host=True,
             )
-            fast_path = vectorized is not None
-            if fast_path:
-                bits, total_steps = vectorized
-            else:
-                total_steps = 0
-                parts = []
-                row_bits = self.geometry.row_bits
-                for c in range(n_chunks):
-                    chunk_bits = min(n_bits - c * row_bits, row_bits)
-                    chunk_sources = [s[c] for s in sources]
-                    host_chunks: List[np.ndarray] = []
-                    total_steps += self._chunk_bitwise(
-                        op, scratch[c], chunk_sources, chunk_bits, acct, localities,
-                        batch, chunk_localities[c], emit_host=True,
-                        host_chunks=host_chunks,
-                    )
-                    packed = host_chunks[-1]
-                    parts.append(
-                        np.unpackbits(packed, bitorder="little")[:chunk_bits]
-                    )
-                bits = np.concatenate(parts)
             acct.absorb(self.controller.execute_batch(batch))
             if self.record_sink is not None:
-                self.record_sink.append(("to_host", batch, fast_path))
+                self.record_sink.append(("to_host", batch))
             acct.count_bits(n_bits * len(sources))
             sp.add(steps=total_steps)
             result = OpResult(
                 op=op, accounting=acct, steps=total_steps, localities=localities
             )
+            # rows are contiguous chunks of the vector: flatten and truncate
+            bits = np.unpackbits(rows.reshape(-1), bitorder="little")[:n_bits]
             return bits, result
-
-    def _vector_chunks_to_host(
-        self,
-        batch: CommandBatch,
-        op: PimOp,
-        scratch: List[int],
-        sources: List[List[int]],
-        n_bits: int,
-        n_chunks: int,
-        chunk_localities: List[OpLocality],
-        acct: OpAccounting,
-        localities: Dict[OpLocality, int],
-    ) -> Optional[Tuple[np.ndarray, int]]:
-        """Row-parallel :meth:`bitwise_to_host` fast path.
-
-        Single-step chunks only (multi-step accumulation keeps the
-        serial loop, which writes intermediates to the scratch rows);
-        the final sensed rows never touch memory, so no aliasing check
-        is needed.  Returns ``(bits, steps)`` or ``None``.
-        """
-        if op is not PimOp.INV:
-            limit = max(2, self.limits.single_step_limit(op))
-            if len(sources) > limit and any(
-                loc is OpLocality.INTRA_SUBARRAY for loc in chunk_localities
-            ):
-                return None
-        operand_lists = (
-            [sources[0][:n_chunks]]
-            if op is PimOp.INV
-            else [s[:n_chunks] for s in sources]
-        )
-        new_rows = self.memory.bitwise_rows(op.value, operand_lists)
-
-        self._set_mode(op, batch)
-        n_operands = len(operand_lists)
-        first_src = operand_lists[0]
-        row_bits = self.geometry.row_bits
-        channel_of = self.mapper.channel_of
-        step_rows = self._step_rows
-        counts = acct.locality_counts
-        for c in range(n_chunks):
-            locality = chunk_localities[c]
-            chunk_bits = min(n_bits - c * row_bits, row_bits)
-            ch = channel_of(first_src[c])
-            rows, _wb = step_rows(op, locality, ch, n_operands, chunk_bits, True)
-            batch.extend_rows(rows)
-            batch.fence()
-            counts[locality] = counts.get(locality, 0) + 1
-            localities[locality] = localities.get(locality, 0) + 1
-        acct.count_step(n_chunks)
-        # rows are contiguous chunks of the vector: flatten and truncate
-        bits = np.unpackbits(new_rows, bitorder="little")[:n_bits]
-        return bits, n_chunks
 
     # -- request validation / decomposition -----------------------------------
 
@@ -464,31 +405,38 @@ class PinatuboExecutor:
         n_chunks: int,
         overlap_chunks: bool,
         chunk_localities: List[OpLocality],
-    ) -> Tuple[int, OpAccounting, Dict[OpLocality, int]]:
+        emit_host: bool = False,
+    ) -> Tuple[int, OpAccounting, Dict[OpLocality, int], np.ndarray]:
         """Emit one logical operation's commands into ``batch``.
 
         The batch is fenced per combine step unless ``overlap_chunks``;
         ``chunk_localities`` come from :meth:`_prevalidate_placement`.
+        Returns ``(steps, accounting, localities, rows)`` where ``rows``
+        is each chunk's final packed result, ``(n_chunks, row_bytes)``.
+        With ``emit_host`` every chunk's final step streams to the host
+        and ``dest`` only holds accumulation intermediates.
         """
         acct = OpAccounting()
         localities: Dict[OpLocality, int] = {}
         fence_steps = not overlap_chunks
-        steps = self._vector_chunks(
+        vectorized = self._vector_chunks(
             batch, op, dest, sources, n_bits, n_chunks, fence_steps,
-            chunk_localities, acct, localities,
+            chunk_localities, acct, localities, emit_host,
         )
-        if steps is not None:
-            return steps, acct, localities
+        if vectorized is not None:
+            steps, rows = vectorized
+            return steps, acct, localities, rows
         total_steps = 0
+        finals: List[np.ndarray] = []
         row_bits = self.geometry.row_bits
         for c in range(n_chunks):
             chunk_bits = min(n_bits - c * row_bits, row_bits)
             chunk_sources = [s[c] for s in sources]
             total_steps += self._chunk_bitwise(
                 op, dest[c], chunk_sources, chunk_bits, acct, localities,
-                batch, chunk_localities[c], fence_steps=fence_steps,
+                batch, chunk_localities[c], emit_host, finals, fence_steps,
             )
-        return total_steps, acct, localities
+        return total_steps, acct, localities, np.stack(finals)
 
     def _vector_chunks(
         self,
@@ -502,71 +450,134 @@ class PinatuboExecutor:
         chunk_localities: List[OpLocality],
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
-    ) -> Optional[int]:
-        """Row-parallel fast path: one numpy pass over all chunks.
+        emit_host: bool,
+    ) -> Optional[Tuple[int, np.ndarray]]:
+        """Row-parallel path: one numpy pass over every chunk and step.
 
-        When every chunk resolves in a single combine step (no
-        accumulation passes) and no destination frame feeds another
-        chunk, the functional result and the differential write widths
-        of the whole vector are computed with row-parallel numpy ops
-        (:meth:`MainMemory.bitwise_rows`), and only the command emission
-        remains a (cheap) Python loop.  Emitted commands, accounting and
-        memory state are identical to the serial chunk loop; returns
-        ``None`` when the request needs that general path.
+        Every operand row, then every destination row, lands in one
+        ``(n_src + 1, n_chunks, row_bytes)`` stack.  An intra-subarray
+        chunk wider than the one-step limit runs accumulation passes
+        whose outputs are prefixes of ``ufunc.accumulate`` along the
+        operand axis, so every step's result and differential write
+        width (the popcount of ``prev XOR out``) come from one array
+        pass; each chunk's steps are emitted as tiled copies of the
+        cached step template and the op's programs land with one
+        ``write_frames`` call (one write event).  Emitted commands,
+        accounting and memory state equal the serial
+        :meth:`_chunk_bitwise` loop.  Returns ``(steps, final rows)``,
+        or ``None`` when aliasing would make the serial order
+        observable: repeated destination frames, a destination frame
+        read by another chunk, or a multi-step chunk reading its own
+        destination.
         """
-        if op is not PimOp.INV:
-            limit = max(2, self.limits.single_step_limit(op))
-            if len(sources) > limit and any(
-                loc is OpLocality.INTRA_SUBARRAY for loc in chunk_localities
-            ):
-                return None  # accumulation passes: serial semantics
-        # no destination row may be an operand of a *different* chunk
-        # (the serial loop would make that a carried dependence)
-        dest_pos = {f: c for c, f in enumerate(dest[:n_chunks])}
-        if len(dest_pos) != n_chunks:
-            return None
-        for s in sources:
+        n_src = len(sources)
+        limit = max(2, self.limits.single_step_limit(op))
+        multi = [False] * n_chunks
+        if op is not PimOp.INV and n_src > limit:
+            intra = OpLocality.INTRA_SUBARRAY
+            multi = [loc is intra for loc in chunk_localities]
+        any_multi = True in multi
+        writers = (
+            [c for c in range(n_chunks) if multi[c]]
+            if emit_host
+            else range(n_chunks)
+        )
+        if writers:
+            dest_pos = {dest[c]: c for c in writers}
+            if len(dest_pos) != len(writers):
+                return None
             get = dest_pos.get
-            for c in range(n_chunks):
-                hit = get(s[c])
-                if hit is not None and hit != c:
-                    return None
+            for s in sources:
+                for c in range(n_chunks):
+                    hit = get(s[c])
+                    if hit is not None and (hit != c or multi[c]):
+                        return None
 
         mem = self.memory
-        operand_lists = (
-            [sources[0][:n_chunks]]
-            if op is PimOp.INV
-            else [s[:n_chunks] for s in sources]
-        )
-        new_rows = mem.bitwise_rows(op.value, operand_lists)
-        changed = mem.diff_bits_rows(dest[:n_chunks], new_rows)
+        frames = [f for s in sources for f in s[:n_chunks]]
+        if writers:
+            frames += dest[:n_chunks]
+        stack = mem.gather_rows(frames).reshape(-1, n_chunks, self.geometry.row_bytes)
+        tail = ()
+        if op is PimOp.INV:
+            outs = np.bitwise_not(stack[:1])
+        elif any_multi:
+            # step k's output is the prefix through its last operand
+            ends = list(range(limit - 1, n_src - 1, limit - 1))
+            ends.append(n_src - 1)
+            outs = BITWISE_UFUNCS[op].accumulate(stack[:n_src], axis=0)[ends]
+            # steps 2..K as (n_operands, emit_host, first, end) runs: the
+            # destination (operands[0]) plus up to limit - 1 new operands
+            k = len(ends)
+            last_n = 1 + ends[-1] - ends[-2]
+            full = k if last_n == limit and not emit_host else k - 1
+            tail = [(limit, False, 1, full)] if full > 1 else []
+            if full < k:
+                tail.append((last_n, emit_host, k - 1, k))
+        else:
+            outs = BITWISE_UFUNCS[op].reduce(stack[:n_src], axis=0)[None]
+        n_steps = len(outs)
+        final = outs[-1]
+        widths = step_widths = ()
+        if writers:
+            # differential write widths; prev of step 1 is the old
+            # destination row
+            old = stack[n_src]
+            if any_multi:
+                prev = np.concatenate((old[None], outs[:-1]))
+                prev ^= outs
+                # step_widths[k * n_chunks + c]: step k + 1 of chunk c
+                step_widths = popcount_rows(prev.reshape(n_steps * n_chunks, -1))
+            if not emit_host and False in multi:
+                widths = popcount_rows(old ^ final)
 
         self._set_mode(op, batch)
-        n_operands = len(operand_lists)
-        first_src = operand_lists[0]
+        first_src = sources[0]
         row_bits = self.geometry.row_bits
         channel_of = self.mapper.channel_of
         step_rows = self._step_rows
         counts = acct.locality_counts
-        write_frame = mem.write_frame
+        store_frames: List[int] = []
+        store_index: List[int] = []
+        total_steps = 0
         for c in range(n_chunks):
             locality = chunk_localities[c]
             chunk_bits = min(n_bits - c * row_bits, row_bits)
             ch = channel_of(first_src[c])
-            rows, wb_index = step_rows(
-                op, locality, ch, n_operands, chunk_bits, False
-            )
-            rows = list(rows)
-            kind, cc, _n, n_steps, transfer = rows[wb_index]
-            rows[wb_index] = (kind, cc, changed[c], n_steps, transfer)
-            batch.extend_rows(rows)
-            if fence_steps:
-                batch.fence()
-            counts[locality] = counts.get(locality, 0) + 1
-            localities[locality] = localities.get(locality, 0) + 1
-            write_frame(dest[c], new_rows[c])
-        acct.count_step(n_chunks)
-        return n_chunks
+            if multi[c]:
+                k_c = n_steps
+                ws = step_widths[c::n_chunks]
+                ch_dest = channel_of(dest[c])
+                runs = [(ch, limit, False, 0, 1)]
+                runs += [(ch_dest, *run) for run in tail]
+            else:
+                k_c = 1
+                ws = widths[c : c + 1]
+                runs = ((ch, n_src, emit_host, 0, 1),)
+            for run_ch, n_operands, host, lo, hi in runs:
+                rows, wb = step_rows(
+                    op, locality, run_ch, n_operands, chunk_bits, host
+                )
+                if host:
+                    batch.extend_rows(rows)
+                    if fence_steps:
+                        batch.fence()
+                else:
+                    batch.extend_steps(rows, wb, ws[lo:hi], fence_steps)
+            # programmed steps: all but a streamed final one; a
+            # single-step chunk's result is the last row of ``outs``
+            first = (n_steps - k_c) * n_chunks + c
+            n_stored = k_c - emit_host
+            store_frames += [dest[c]] * n_stored
+            store_index += range(first, first + n_stored * n_chunks, n_chunks)
+            counts[locality] = counts.get(locality, 0) + k_c
+            localities[locality] = localities.get(locality, 0) + k_c
+            total_steps += k_c
+        acct.count_step(total_steps)
+        if store_frames:
+            flat = outs.reshape(-1, outs.shape[2])
+            mem.write_frames(store_frames, flat[store_index])
+        return total_steps, final
 
     # -- chunk-level execution ------------------------------------------------
 
@@ -580,14 +591,17 @@ class PinatuboExecutor:
         localities: Dict[OpLocality, int],
         batch: CommandBatch,
         locality: OpLocality,
-        emit_host: bool = False,
-        host_chunks: Optional[List[np.ndarray]] = None,
-        fence_steps: bool = True,
+        emit_host: bool,
+        finals: List[np.ndarray],
+        fence_steps: bool,
     ) -> int:
-        """One rank-row chunk: decompose into in-memory combine steps.
+        """One rank-row chunk, one combine step at a time: the serial
+        reference :meth:`_vector_chunks` matches, and its fallback when
+        aliasing makes the step order observable.
 
         Folds locality tallies into ``acct``/``localities`` in place,
-        emits the steps into ``batch`` and returns the number of combine
+        emits the steps into ``batch``, appends the chunk's final
+        packed row to ``finals`` and returns the number of combine
         steps issued.  ``locality`` is the chunk's classification from
         :meth:`_prevalidate_placement`.
         """
@@ -599,31 +613,32 @@ class PinatuboExecutor:
             # pass -- the multi-row activation limit is a sensing
             # constraint and does not apply there.
             operands = [srcs[0]] if op is PimOp.INV else list(srcs)
-            return self._combine_step(
+            finals.append(self._combine_step(
                 op, dest, operands, chunk_bits, acct, localities, locality,
-                batch, emit_host, fence_steps, host_chunks,
-            )
+                batch, emit_host, fence_steps,
+            ))
+            return 1
 
         limit = max(2, self.limits.single_step_limit(op))
         pending = list(srcs)
         # First pass: combine up to `limit` original operands.
         group = pending[: limit]
         pending = pending[limit:]
-        final = not pending
-        steps = self._combine_step(
+        new = self._combine_step(
             op, dest, group, chunk_bits, acct, localities, locality, batch,
-            emit_host and final, fence_steps, host_chunks,
+            emit_host and not pending, fence_steps,
         )
+        steps = 1
         # Accumulate the rest: dest + up to (limit - 1) new operands per step.
         while pending:
             group = pending[: limit - 1]
             pending = pending[limit - 1 :]
-            operands = [dest] + group
-            final = not pending
-            steps += self._combine_step(
-                op, dest, operands, chunk_bits, acct, localities, locality,
-                batch, emit_host and final, fence_steps, host_chunks,
+            new = self._combine_step(
+                op, dest, [dest] + group, chunk_bits, acct, localities,
+                locality, batch, emit_host and not pending, fence_steps,
             )
+            steps += 1
+        finals.append(new)
         return steps
 
     def _set_mode(
@@ -650,12 +665,11 @@ class PinatuboExecutor:
         localities: Dict[OpLocality, int],
         locality: OpLocality,
         batch: CommandBatch,
-        emit_host: bool = False,
-        fence_steps: bool = True,
-        host_chunks: Optional[List[np.ndarray]] = None,
-    ) -> int:
+        emit_host: bool,
+        fence_steps: bool,
+    ) -> np.ndarray:
         """Emit one combine step into ``batch`` (its cost is deferred to
-        the batch's pricing).
+        the batch's pricing) and return its packed result row.
 
         The functional result is computed **once**: it both sizes the
         differential write (only flipped cells pay write energy) and is
@@ -679,11 +693,9 @@ class PinatuboExecutor:
         counts[locality] = counts.get(locality, 0) + 1
         acct.count_step()
         localities[locality] = localities.get(locality, 0) + 1
-        if emit_host:
-            host_chunks.append(new)
-        else:
+        if not emit_host:
             self.memory.write_frame(dest, new)
-        return 1
+        return new
 
     # -- command generation -------------------------------------------------------
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from repro.nvm.margin import margin_analysis
 from repro.nvm.technology import NVMTechnology
 
@@ -43,6 +45,14 @@ class PimOp(enum.Enum):
         except ValueError:
             known = ", ".join(op.value for op in cls)
             raise ValueError(f"unknown PIM op {name!r}; known: {known}") from None
+
+
+#: numpy ufunc per binary op (INV is ``np.bitwise_not`` on its one operand)
+BITWISE_UFUNCS = {
+    PimOp.OR: np.bitwise_or,
+    PimOp.AND: np.bitwise_and,
+    PimOp.XOR: np.bitwise_xor,
+}
 
 
 @dataclass(frozen=True)

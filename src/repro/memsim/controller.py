@@ -410,6 +410,44 @@ class CommandBatch:
         self.segments.extend([self._segment] * len(rows))
         self._open = True
 
+    def extend_steps(
+        self,
+        rows: Sequence[Tuple[int, int, int, int, int]],
+        wb_index: int,
+        widths: Sequence[int],
+        fence_steps: bool,
+    ) -> None:
+        """Append one copy of the template ``rows`` per entry of
+        ``widths``, with copy ``i``'s write-back row (``rows[wb_index]``)
+        carrying ``n_bits = widths[i]``.
+
+        The columns equal ``len(widths)`` rounds of
+        :meth:`extend_rows` on the patched rows, each followed by
+        :meth:`fence` when ``fence_steps`` -- the executor's tiled
+        emission of an accumulation pass.
+        """
+        copies = len(widths)
+        if not copies:
+            return
+        width = len(rows)
+        kinds, channels, n_bits, n_steps, transfer = zip(*rows)
+        bits = list(n_bits) * copies
+        bits[wb_index::width] = widths
+        self.kinds.extend(kinds * copies)
+        self.channels.extend(channels * copies)
+        self.n_bits.extend(bits)
+        self.n_steps.extend(n_steps * copies)
+        self.transfer_bytes.extend(transfer * copies)
+        seg = self._segment
+        if fence_steps:
+            for s in range(seg, seg + copies):
+                self.segments.extend([s] * width)
+            self._segment = seg + copies
+            self._open = False
+        else:
+            self.segments.extend([seg] * (width * copies))
+            self._open = True
+
     def extend_batch(self, other) -> None:
         """Append a fenced batch with numpy columns (a frozen program)
         as segments of its own.

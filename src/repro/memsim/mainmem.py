@@ -108,9 +108,10 @@ class MainMemory:
         methods: ``wants_delta(frames) -> bool`` is asked *before* the
         write lands, and ``on_write(frames, farr, deltas)`` fires after
         it, with ``frames`` in write order (a 1-tuple from
-        :meth:`write_frame`).  When the listener wanted the delta,
-        ``farr`` is the deduplicated ``np.intp`` frame array and
-        ``deltas`` the matching ``old XOR new`` packed rows; otherwise
+        :meth:`write_frame`; a frame programmed twice appears twice).
+        When the listener wanted the delta, ``farr`` is the
+        deduplicated ``np.intp`` frame array and ``deltas`` the
+        matching net ``old XOR final`` packed rows; otherwise
         both are ``None`` and the listener only learns which frames
         changed.  The XOR is computed in the functional model only --
         the write path already reads and programs those rows, so delta
@@ -196,7 +197,13 @@ class MainMemory:
         fancy-indexed assignment per touched storage block -- same
         copy-in, same endurance bump, same listener firing (once per
         call) as the per-frame path, without per-row Python work.  The
-        compiled replay and serve paths funnel their stores through here.
+        compiled replay and serve paths and the executor's bulk ops
+        funnel their stores through here.
+
+        A frame repeated in ``frames`` behaves as the equivalent
+        sequence of :meth:`write_frame` calls: its last row lands,
+        every occurrence counts one program, and listeners see the net
+        ``old XOR final`` delta.
         """
         rows_2d = np.asarray(rows_2d, dtype=np.uint8)
         n = len(frames)
@@ -211,25 +218,28 @@ class MainMemory:
             raise ValueError(
                 f"frame out of range [0, {self._total_rows})"
             )
+        data_farr, data_rows = farr, rows_2d
+        if n > 1 and len(set(farr.tolist())) < n:
+            # numpy leaves the order of repeated fancy-index stores
+            # unspecified: land each frame's last row explicitly
+            data_farr, last = np.unique(farr[::-1], return_index=True)
+            data_rows = rows_2d[n - 1 - last]
         wants = old_rows = uniq = None
         if self._delta_listeners:
             wants = [li.wants_delta(frames) for li in self._delta_listeners]
             if any(wants):
-                uniq = np.unique(farr)
+                uniq = data_farr if data_farr is not farr else np.unique(farr)
                 old_rows = self.gather_rows(uniq)
-        blocks = farr >> self._block_shift
-        rows = farr & self._block_mask
-        first = int(blocks[0])
-        if (blocks == first).all():
-            blk = self._block(first)
-            blk[rows] = rows_2d
-            np.add.at(self._block_writes[first], rows, 1)
+        for block_index, rows, sel in self._block_groups(data_farr):
+            self._block(block_index)[rows] = (
+                data_rows if sel is None else data_rows[sel]
+            )
+        if data_farr is farr:
+            for block_index, rows, _sel in self._block_groups(farr):
+                self._block_writes[block_index][rows] += 1
         else:
-            for block_index in np.unique(blocks):
-                sel = blocks == block_index
-                blk = self._block(int(block_index))
-                blk[rows[sel]] = rows_2d[sel]
-                np.add.at(self._block_writes[int(block_index)], rows[sel], 1)
+            for block_index, rows, _sel in self._block_groups(farr):
+                np.add.at(self._block_writes[block_index], rows, 1)
         self.total_writes += n
         _FRAME_WRITES.add(n)
         if self._delta_listeners:
@@ -242,6 +252,21 @@ class MainMemory:
                     listener.on_write(frames, uniq, deltas)
                 else:
                     listener.on_write(frames, None, None)
+
+    def _block_groups(self, farr: np.ndarray):
+        """``(block index, in-block rows, selector)`` per storage block
+        ``farr`` touches; the selector is ``None`` when one block holds
+        every frame."""
+        blocks = farr >> self._block_shift
+        rows = farr & self._block_mask
+        first = int(blocks[0])
+        if (blocks == first).all():
+            return ((first, rows, None),)
+        groups = []
+        for block_index in np.unique(blocks):
+            sel = blocks == block_index
+            groups.append((int(block_index), rows[sel], sel))
+        return groups
 
     def frame_writes(self, frame: int) -> int:
         """How many times a frame has been programmed (endurance)."""
@@ -324,22 +349,17 @@ class MainMemory:
             raise ValueError(
                 f"frame out of range [0, {self._total_rows})"
             )
-        blocks = farr >> self._block_shift
-        rows = farr & self._block_mask
-        first = int(blocks[0])
-        if (blocks == first).all():
-            blk = self._blocks.get(first)
+        groups = self._block_groups(farr)
+        if len(groups) == 1:
+            blk = self._blocks.get(groups[0][0])
             if blk is None:
-                return np.zeros(
-                    (farr.size, self._row_bytes), dtype=np.uint8
-                )
-            return blk[rows]
+                return np.zeros((farr.size, self._row_bytes), dtype=np.uint8)
+            return blk[groups[0][1]]
         out = np.zeros((farr.size, self._row_bytes), dtype=np.uint8)
-        for block_index in np.unique(blocks):
-            blk = self._blocks.get(int(block_index))
+        for block_index, rows, sel in groups:
+            blk = self._blocks.get(block_index)
             if blk is not None:
-                sel = blocks == block_index
-                out[sel] = blk[rows[sel]]
+                out[sel] = blk[rows]
         return out
 
     def bitwise_rows(self, op: str, src_frame_lists) -> np.ndarray:
@@ -364,11 +384,6 @@ class MainMemory:
         for frames in srcs[1:]:
             ufunc(out, self.gather_rows(frames), out=out)
         return out
-
-    def diff_bits_rows(self, frames, data_2d: np.ndarray) -> List[int]:
-        """:meth:`diff_bits` per row: differential-write widths."""
-        changed = np.bitwise_xor(self.gather_rows(frames), data_2d)
-        return popcount_rows(changed)
 
     def execute_bitwise(self, op: str, dest_frame: int, src_frames) -> None:
         """Functional compute + write-back to the destination frame."""

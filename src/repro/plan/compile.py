@@ -51,7 +51,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.executor import MODE_CODES, OpResult
-from repro.core.ops import PimOp
+from repro.core.ops import BITWISE_UFUNCS, PimOp
 from repro.core.stats import OpAccounting
 from repro.core.bitops import popcount_rows
 from repro.memsim.controller import CommandKind, KIND_CODES
@@ -80,12 +80,6 @@ _K_SENSE = KIND_CODES[CommandKind.PIM_SENSE]
 _K_PRE = KIND_CODES[CommandKind.PRE]
 _K_WB = KIND_CODES[CommandKind.PIM_WRITEBACK]
 _K_WR = KIND_CODES[CommandKind.WR]
-
-_UFUNCS = {
-    PimOp.OR: np.bitwise_or,
-    PimOp.AND: np.bitwise_and,
-    PimOp.XOR: np.bitwise_xor,
-}
 
 
 class _Sentinel:
@@ -340,17 +334,15 @@ class ToHostProgram:
 def build_to_host_program(
     recorded: list, op: PimOp, result: OpResult, n_chunks: int
 ) -> Optional[ToHostProgram]:
-    """Lower one recorded ``bitwise_to_host`` call; ``None`` if it took
-    the serial (multi-step) path the slot model does not replay."""
+    """Lower one recorded ``bitwise_to_host`` call; ``None`` if it ran
+    accumulation passes (their scratch writes are not replayed)."""
     if len(recorded) != 1:
         return None
-    flavor = recorded[0]
-    if flavor[0] != "to_host" or not flavor[2]:
-        return None
-    if result.steps != n_chunks:
+    flavor, batch = recorded[0]
+    if flavor != "to_host" or result.steps != n_chunks:
         return None
     prog = ToHostProgram()
-    prog.frozen = freeze_batch(flavor[1], memo_ok=True)
+    prog.frozen = freeze_batch(batch, memo_ok=True)
     prog.op = op
     prog.n_chunks = n_chunks
     prog.steps = result.steps
@@ -617,7 +609,7 @@ def build_wave_program(
     prog.store_refs = store_refs
     prog.groups = [
         (
-            _UFUNCS.get(PimOp(gop)),
+            BITWISE_UFUNCS.get(PimOp(gop)),
             np.asarray(dsts, dtype=np.intp),
             np.asarray(srcs, dtype=np.intp),
         )

@@ -953,8 +953,8 @@ class QueryPlanner:
             _packed_to_host, executor, op, scratch_frames, source_frame_lists,
             n_bits,
         )
-        # scratch intermediates written by the serial interpreted path
-        # are wave-internal: keep every write inside on eager
+        # scratch intermediates written by interpreted accumulation
+        # passes are wave-internal: keep every write inside on eager
         # invalidation (program replays write nothing, so the guard is
         # inert on the compiled fast path)
         self._wave_depth += 1

@@ -23,17 +23,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.executor import OpResult, PinatuboExecutor, PlacementError
-from repro.core.ops import PimOp
+from repro.core.ops import BITWISE_UFUNCS, PimOp
 from repro.core.stats import OpAccounting
 from repro.runtime.allocator import BitVectorHandle
 from repro.runtime.isa import PimInstruction, decode_instruction, encode_instruction
-
-#: numpy ufuncs for the host fallback path
-_HOST_UFUNCS = {
-    PimOp.OR: np.bitwise_or,
-    PimOp.AND: np.bitwise_and,
-    PimOp.XOR: np.bitwise_xor,
-}
 
 # always-live instruments (survive telemetry.reset(): values are zeroed,
 # the objects stay registered)
@@ -286,7 +279,7 @@ class PimDriver:
             acct = acct.merged(read_acct)
             out = (1 - bits).astype(np.uint8)
         else:
-            ufunc = _HOST_UFUNCS[req.op]
+            ufunc = BITWISE_UFUNCS[req.op]
             out = None
             for source in req.sources:
                 bits, read_acct = self.executor.read_vector(

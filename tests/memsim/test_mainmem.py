@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.memsim.geometry import MemoryGeometry
 from repro.memsim.mainmem import MainMemory
 
@@ -18,6 +19,20 @@ SMALL = MemoryGeometry(
     rows_per_subarray=8,
     mats_per_subarray=1,
     cols_per_mat=256,
+    mux_ratio=8,
+)
+
+
+#: 64 KiB rows: 16-row storage blocks, so SMALL's 32 frames span two
+TWO_BLOCKS = MemoryGeometry(
+    channels=1,
+    ranks_per_channel=1,
+    chips_per_rank=1,
+    banks_per_chip=2,
+    subarrays_per_bank=2,
+    rows_per_subarray=8,
+    mats_per_subarray=1,
+    cols_per_mat=1 << 19,
     mux_ratio=8,
 )
 
@@ -188,3 +203,75 @@ class TestBitwiseCompute:
         result = mem.bitwise_frames(op, [0, 1])
         oracle = {"or": a | b, "and": a & b, "xor": a ^ b}[op]
         np.testing.assert_array_equal(result, oracle)
+
+
+class _Recorder:
+    """Delta listener keeping every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def wants_delta(self, frames):
+        return True
+
+    def on_write(self, frames, farr, deltas):
+        self.events.append((list(frames), farr.copy(), deltas.copy()))
+
+
+class TestRepeatedFrameWrites:
+    """``write_frames`` with a frame repeated acts as the equivalent
+    sequence of ``write_frame`` calls: the last row per frame wins, each
+    occurrence is one program, and the one listener event carries the
+    net ``old XOR final`` delta."""
+
+    @pytest.mark.parametrize("geometry", [SMALL, TWO_BLOCKS], ids=["one_block", "two_blocks"])
+    def test_matches_sequential_write_frame(self, geometry):
+        frames = [3, 20, 3, 5, 20, 3, 31]
+        rng = np.random.default_rng(9)
+        rows = rng.integers(0, 256, (len(frames), geometry.row_bytes), dtype=np.uint8)
+        initial = rng.integers(0, 256, (32, geometry.row_bytes), dtype=np.uint8)
+        batched, serial = MainMemory(geometry), MainMemory(geometry)
+        for m in (batched, serial):
+            for frame in (3, 5, 20):
+                m.write_frame(frame, initial[frame])
+        rec_b, rec_s = _Recorder(), _Recorder()
+        batched.add_delta_write_listener(rec_b)
+        serial.add_delta_write_listener(rec_s)
+        counter = telemetry.counter("memsim.mainmem.frame_writes")
+
+        c0 = counter.value
+        batched.write_frames(frames, rows)
+        batched_count = counter.value - c0
+        c0 = counter.value
+        for frame, row in zip(frames, rows):
+            serial.write_frame(frame, row)
+        serial_count = counter.value - c0
+
+        for frame in range(32):
+            np.testing.assert_array_equal(
+                batched.frame_bytes(frame), serial.frame_bytes(frame)
+            )
+            assert batched.frame_writes(frame) == serial.frame_writes(frame)
+        np.testing.assert_array_equal(batched.frame_bytes(3), rows[5])
+        assert batched.frame_writes(3) == 1 + 3
+        assert batched.total_writes == serial.total_writes
+        assert batched.write_histogram() == serial.write_histogram()
+        assert batched_count == serial_count == len(frames)
+
+        assert len(rec_b.events) == 1
+        event_frames, farr, deltas = rec_b.events[0]
+        assert event_frames == frames
+        np.testing.assert_array_equal(farr, [3, 5, 20, 31])
+        net = {}
+        for (frame,), _farr, delta in rec_s.events:
+            net[frame] = net.get(frame, 0) ^ delta[0]
+        for frame, delta in zip(farr.tolist(), deltas):
+            np.testing.assert_array_equal(delta, net[frame])
+
+    def test_distinct_frames_unchanged(self, mem):
+        rows = np.stack([rand_frame(s) for s in range(3)])
+        mem.write_frames([7, 2, 9], rows)
+        for frame, row in zip([7, 2, 9], rows):
+            np.testing.assert_array_equal(mem.frame_bytes(frame), row)
+            assert mem.frame_writes(frame) == 1
+        assert mem.total_writes == 3

@@ -200,6 +200,36 @@ class TestRepairCorrectness:
         assert rt.planner.cache.invalidations > 0
 
 
+class TestMultiStepWriteNetDelta:
+    """A bulk op that overwrites a cached entry's operand through
+    accumulation passes raises one write event: the repair sees the net
+    ``old XOR final`` delta of each frame, not one delta per pass."""
+
+    @pytest.mark.parametrize("op", ["or", "and", "xor"])
+    def test_accumulating_overwrite_repairs_from_net_delta(self, op):
+        rt = _runtime()
+        handles, bits = _loaded(rt, n_vectors=6)
+        a, b = handles[:2]
+        rt.pim_op(op, rt.pim_malloc(N), [a, b])  # cached: reads a's frames
+        stats = rt.plan_stats
+        repairs0, chunks0 = stats.repairs, stats.repaired_chunks
+
+        # depth 0 (outside any planner wave): a = c & d & e & f, three
+        # pairwise passes on each of a's three chunks
+        result = rt.driver.execute("and", a, handles[2:6], N)
+        assert result.steps == 9
+        new_a = bits[2] & bits[3] & bits[4] & bits[5]
+
+        assert stats.repairs - repairs0 == 1
+        assert stats.repaired_chunks - chunks0 == 3
+        assert stats.repair_fallbacks == 0
+        hits0 = stats.cache_hits
+        d2 = rt.pim_malloc(N)
+        rt.pim_op(op, d2, [a, b])
+        assert stats.cache_hits == hits0 + 1
+        assert np.array_equal(rt.pim_read(d2), _oracle(op, [new_a, bits[1]]))
+
+
 class TestLruUnderRepair:
     """Satellite: the cache's LRU discipline under the repair path."""
 
