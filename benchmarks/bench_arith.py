@@ -12,9 +12,10 @@ identical systems:
   CSE-folds the repeated compare ladders and serves replays from the
   sub-result cache, one Python pass per wave;
 - *compiled*: ``PimRuntime(plan=True)``, the kernel compiler
-  additionally lowers the recurring waves (including the popcount
-  reductions) into flat numpy programs (whole-query analytics
-  compilation off, so this arm isolates the wave compiler);
+  additionally freezes the recurring popcount reductions into to-host
+  programs and replays recurring cache-served runs into the wave
+  (whole-query analytics compilation off, so this arm isolates the
+  planner's compiled tiers);
 - *analytics*: the full stack -- on top of the compiled planner the
   :class:`~repro.arith.compile.AnalyticsCompiler` replays whole
   steady-state queries from shape-keyed programs with the comparison
@@ -22,7 +23,8 @@ identical systems:
 
 All arms must answer every query identically (counts, sums, per-bin
 histograms); the planner arms must price identically (simulated cost
-is an execution-strategy invariant).  The headline claims, guarded by
+is an execution-strategy invariant).  Every arm's wall time is the
+best per-pass time of :func:`bench_io.min_of_k` windows.  The headline claims, guarded by
 ``check_bench_regression.py``, are that the compiled path clears **5x
 the uncompiled interpreter's wall throughput** and the analytics
 programs clear **3x the compiled arm** on top of that.  Results land
@@ -30,7 +32,6 @@ in ``BENCH_arith.json`` at the repo root.
 """
 
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,11 @@ from repro.core.pinatubo import PinatuboSystem
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.runtime.api import PimRuntime
+
+try:
+    from benchmarks.bench_io import min_of_k
+except ImportError:  # run as a script: the benchmarks dir is sys.path[0]
+    from bench_io import min_of_k
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_arith.json"
 
@@ -115,7 +121,7 @@ def _build_table(
     runtime = PimRuntime(system, plan=plan, compile=compile_)
     table = AnalyticsTable(runtime, N_ROWS)
     if not analytics:
-        # whole-query compilation off: the arm isolates the wave compiler
+        # whole-query compilation off: the arm isolates the planner tiers
         table.compiler.enabled = False
     table.load_column("age", data["age"], 6)
     table.load_column("income", data["income"], VALUE_BITS)
@@ -131,24 +137,20 @@ def _play(table: AnalyticsTable, stream: list) -> list:
 
 
 def _run_arm(data, stream, plan: bool, compile_: bool, warm: bool,
-             best_of: int = 1, analytics: bool = False):
+             analytics: bool = False):
     """Build one arm, optionally warm it, and measure the stream.
 
     Warming runs the stream twice unmeasured (cache fill, then replay
-    recording) so the measured passes are genuine steady state; with
-    ``best_of > 1`` the wall time is the minimum over that many
-    measured passes (the ``timeit`` convention).
+    recording) so the measured passes are genuine steady state.  The
+    next pass's results are returned (the uncached arm's first, cold
+    pass); the wall time is :func:`min_of_k` over further passes.
     """
     table = _build_table(data, plan=plan, compile_=compile_, analytics=analytics)
     if warm:
         _play(table, stream)
         _play(table, stream)
-    wall = None
-    for _ in range(best_of):
-        t0 = time.perf_counter()
-        results = _play(table, stream)
-        elapsed = time.perf_counter() - t0
-        wall = elapsed if wall is None else min(wall, elapsed)
+    results = _play(table, stream)
+    wall = min_of_k(lambda: _play(table, stream))
     return table, results, wall
 
 
@@ -180,20 +182,19 @@ def run_arith_benchmark(repeats: int = REPEATS) -> dict:
 
     # -- interpreted planner (CSE + sub-result cache) ------------------------
     interp_table, interp_results, interp_wall = _run_arm(
-        data, stream, plan=True, compile_=False, warm=True, best_of=3
+        data, stream, plan=True, compile_=False, warm=True
     )
     interp_sim, interp_energy = _sim_totals(interp_results)
 
-    # -- compiled planner (flat numpy programs, incl. popcount replay) -------
+    # -- compiled planner (to-host popcount programs, resident replay) ------
     comp_table, comp_results, comp_wall = _run_arm(
-        data, stream, plan=True, compile_=True, warm=True, best_of=3
+        data, stream, plan=True, compile_=True, warm=True
     )
     comp_sim, comp_energy = _sim_totals(comp_results)
 
     # -- analytics programs (whole-query shape-keyed replay) -----------------
     ana_table, ana_results, ana_wall = _run_arm(
-        data, stream, plan=True, compile_=True, warm=True, best_of=3,
-        analytics=True,
+        data, stream, plan=True, compile_=True, warm=True, analytics=True,
     )
     ana_sim, ana_energy = _sim_totals(ana_results)
 

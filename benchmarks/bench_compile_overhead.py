@@ -1,15 +1,18 @@
 """Kernel-compiler overhead: compile cost vs steady-state break-even.
 
-The compiler only pays off if its one-time cost (recording a wave,
-lowering it to a flat program, snapshotting resident replay state) is
-amortised by cheaper steady-state passes.  This benchmark measures both
-sides on the ``bench_plan_cache`` workload:
+The compiler only pays off if its one-time cost (recording a to-host
+call and freezing it into a program, recording resident replay state
+for cache serves) is amortised by cheaper steady-state passes.  On the
+``bench_plan_cache`` workload every query's popcount shares one to-host
+shape, so the compiled arm records one program and replays it on every
+later call.  This benchmark measures both sides:
 
 - *compile cost*: the wall-clock spent inside program lowering
   (``PlanStats.compile_seconds``) plus the slowdown of the recording
   pass relative to the interpreted planner's equivalent pass;
 - *steady-state saving*: interpreted minus compiled per-pass wall once
-  both arms serve everything from cache.
+  both arms serve everything from cache, each the best per-pass time of
+  :func:`bench_io.min_of_k` windows.
 
 ``break_even_passes`` is how many steady-state stream passes repay the
 total warm-up overhead; fractional values below 1 mean the compiler
@@ -24,17 +27,17 @@ from pathlib import Path
 from repro.apps.star import synthetic_star_table
 
 try:
+    from benchmarks.bench_io import TIMER_WINDOWS, min_of_k
     from benchmarks.bench_plan_cache import (
         COLUMNS, N_EVENTS, REPEATS, _build_db, _query_pool, _stream,
     )
 except ImportError:  # run as a script: the benchmarks dir is sys.path[0]
+    from bench_io import TIMER_WINDOWS, min_of_k
     from bench_plan_cache import (
         COLUMNS, N_EVENTS, REPEATS, _build_db, _query_pool, _stream,
     )
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
-
-STEADY_PASSES = 3
 
 
 def _timed_pass(db, stream) -> float:
@@ -54,15 +57,13 @@ def run_compile_overhead(repeats: int = REPEATS) -> dict:
     db_comp = _build_db(table, plan=True, compile_=True)
     comp_cold = _timed_pass(db_comp, stream)
     comp_record = _timed_pass(db_comp, stream)
-    comp_steady = min(_timed_pass(db_comp, stream) for _ in range(STEADY_PASSES))
+    comp_steady = min_of_k(lambda: db_comp.query_many(list(stream)))
     comp_stats = db_comp.runtime.plan_stats
 
     db_interp = _build_db(table, plan=True, compile_=False)
     interp_cold = _timed_pass(db_interp, stream)
     interp_record = _timed_pass(db_interp, stream)
-    interp_steady = min(
-        _timed_pass(db_interp, stream) for _ in range(STEADY_PASSES)
-    )
+    interp_steady = min_of_k(lambda: db_interp.query_many(list(stream)))
 
     # warm-up overhead the compiler added on the two non-steady passes
     warmup_overhead = max(
@@ -75,7 +76,7 @@ def run_compile_overhead(repeats: int = REPEATS) -> dict:
     return {
         "workload": {
             "n_queries": n_queries,
-            "steady_passes": STEADY_PASSES,
+            "steady_windows": TIMER_WINDOWS,
             "smoke": repeats != REPEATS,
         },
         "compiled": {

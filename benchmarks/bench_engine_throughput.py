@@ -13,8 +13,9 @@ e2e ``cold_wide`` workload: 2-16 operands of 4-row vectors, every chunk
 intra-subarray, so on PCM (one-step AND/XOR limit 2) each op runs
 ``n - 1`` pairwise accumulation passes per chunk.  Its bits are checked
 against numpy and its pricing (1e-12 relative) against the serial
-combine-step reference; its rate is the best of several windows of at
-least 50 ms each.
+combine-step reference.  Both arms' rates are the best per-pass time
+of :func:`bench_io.min_of_k` windows of at least 50 ms each, timed
+after the checked pass.
 
 The benchmark measures the *simulator's own* wall-clock throughput
 (queries/second, priced commands/second and simulated ops/second); the
@@ -26,7 +27,6 @@ repo root.
 """
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,11 @@ from repro.core.pinatubo import PinatuboSystem
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.runtime.api import PimRuntime
+
+try:
+    from benchmarks.bench_io import TIMER_MIN_WINDOW_S, TIMER_WINDOWS, min_of_k
+except ImportError:  # run as a script: the benchmarks dir is sys.path[0]
+    from bench_io import TIMER_MIN_WINDOW_S, TIMER_WINDOWS, min_of_k
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -92,14 +97,13 @@ def _run_engine_benchmark() -> dict:
 
     db = _build_db(table=table)
     c0 = perf_counters.batch_commands
-    t0 = time.perf_counter()
     results = db.query_many(queries)
-    wall_s = time.perf_counter() - t0
     commands = perf_counters.batch_commands - c0
 
     # every answer must match the columnar oracle
     oracle = FastBitDB(table, functional=False)
     assert [r.hits for r in results] == [oracle.query_oracle(q) for q in queries]
+    wall_s = min_of_k(lambda: db.query_many(queries))
 
     sim_ops = sum(r.in_memory_steps for r in results)
     queries_per_s = N_QUERIES / wall_s
@@ -138,8 +142,6 @@ ACC_ROWS = 4  # chunks per vector
 ACC_VECTORS = 32
 ACC_DESTS = 8  # destination vectors, used round-robin
 ACC_OPS = 200
-ACC_WINDOW_S = 0.05
-ACC_WINDOWS = 5
 ACC_REL = 1e-12
 
 
@@ -202,24 +204,15 @@ def _run_accumulation_benchmark() -> dict:
         assert abs(got.energy - ref.energy) <= ACC_REL * ref.energy
         steps += got.steps
 
-    best = 0.0
-    for _ in range(ACC_WINDOWS):
-        ops, t0 = 0, time.perf_counter()
-        while True:
-            _play(system, stream)
-            ops += len(stream)
-            elapsed = time.perf_counter() - t0
-            if elapsed >= ACC_WINDOW_S:
-                break
-        best = max(best, ops / elapsed)
+    per_pass = min_of_k(lambda: _play(system, stream))
     return {
         "n_ops": ACC_OPS,
         "rows_per_vector": ACC_ROWS,
         "operands": [2, 16],
         "steps_per_op": steps / ACC_OPS,
-        "windows": ACC_WINDOWS,
-        "min_window_s": ACC_WINDOW_S,
-        "queries_per_s": best,
+        "windows": TIMER_WINDOWS,
+        "min_window_s": TIMER_MIN_WINDOW_S,
+        "queries_per_s": ACC_OPS / per_pass,
     }
 
 

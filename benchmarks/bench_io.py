@@ -1,4 +1,5 @@
-"""Shared result-file writer for the ``BENCH_*.json`` artifacts.
+"""Shared result-file writer and wall timer for the ``BENCH_*.json``
+artifacts.
 
 Every benchmark that records results at the repo root writes through
 :func:`write_bench`, so all artifacts share one top-level schema::
@@ -13,6 +14,8 @@ both instead of sniffing file shapes.  ``env`` pins the provenance of
 the numbers: the commit they were measured at and the interpreter and
 numpy versions that produced them, so a regression can be told apart
 from an environment change.
+
+Every wall-clock rate the artifacts gate is timed by :func:`min_of_k`.
 """
 
 from __future__ import annotations
@@ -20,12 +23,19 @@ from __future__ import annotations
 import json
 import platform
 import subprocess
+import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 #: bump when the common header changes shape
 BENCH_SCHEMA = 2
+
+#: default :func:`min_of_k` windows and their minimum length; ten
+#: windows outlast the bursts of host contention a shared machine shows
+TIMER_WINDOWS = 10
+TIMER_MIN_WINDOW_S = 0.05
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,3 +77,28 @@ def write_bench(path: Path, name: str, payload: dict) -> dict:
     }
     Path(path).write_text(json.dumps(result, indent=2) + "\n")
     return result
+
+
+def min_of_k(
+    run_pass: Callable[[], object],
+    k: int = TIMER_WINDOWS,
+    min_window_s: float = TIMER_MIN_WINDOW_S,
+) -> float:
+    """Best wall seconds per ``run_pass()`` call over ``k`` windows.
+
+    Each window repeats the pass until at least ``min_window_s`` has
+    elapsed and yields its mean pass time; the minimum over windows is
+    the scheduling-noise-free estimate (the ``timeit`` convention).
+    """
+    best = None
+    for _ in range(k):
+        passes, t0 = 0, time.perf_counter()
+        while True:
+            run_pass()
+            passes += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= min_window_s:
+                break
+        per_pass = elapsed / passes
+        best = per_pass if best is None else min(best, per_pass)
+    return best

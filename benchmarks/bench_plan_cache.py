@@ -12,13 +12,15 @@ identical systems:
   repeats from the write-invalidated sub-result cache, one Python pass
   per wave;
 - *compiled*: ``PimRuntime(plan=True)`` (compile on by default), the
-  kernel compiler additionally lowers recurring waves into flat
-  preallocated programs and replays recurring cache-served runs
+  kernel compiler additionally freezes each query's to-host popcount
+  into a replayed program and replays recurring cache-served runs
   without re-planning.
 
 The planner arms are warmed with two unmeasured passes of the stream
 (pass one populates the sub-result cache, pass two records the
-resident replay state), then measured in steady state.  All three runs
+resident replay state), then measured in steady state.  Every arm's
+wall time is the best per-pass time of :func:`bench_io.min_of_k`
+windows.  All three runs
 must answer byte-identically; the planner arms must price identically
 (simulated latency/energy within 1e-9 relative -- the compiled path is
 an execution strategy, never a pricing change).  The headline claim,
@@ -29,7 +31,6 @@ repo root.
 """
 
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,11 @@ from repro.core.pinatubo import PinatuboSystem
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.runtime.api import PimRuntime
+
+try:
+    from benchmarks.bench_io import min_of_k
+except ImportError:  # run as a script: the benchmarks dir is sys.path[0]
+    from bench_io import min_of_k
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
 
@@ -109,29 +115,23 @@ def _build_db(table, plan: bool, compile_: bool = True) -> PimFastBit:
     return PimFastBit(runtime, table)
 
 
-def _run_arm(table, stream, plan: bool, compile_: bool, warm: bool,
-             best_of: int = 1):
+def _run_arm(table, stream, plan: bool, compile_: bool, warm: bool):
     """Build one arm, optionally warm it, and measure the stream.
 
     Warming runs the stream twice unmeasured: the first pass fills the
     sub-result cache (everything executes), the second runs all-serve
     waves so the kernel compiler records its resident replay state --
     the measured passes are then genuine steady state for both planner
-    arms.  With ``best_of > 1`` the wall time is the minimum over that
-    many measured passes (the ``timeit`` convention: the minimum is the
-    scheduling-noise-free estimate); answers are identical across
-    passes, so the last pass's results are returned.
+    arms.  The next pass's results are returned (the uncached arm's
+    first, cold pass); the wall time is :func:`min_of_k` over further
+    passes, whose answers are identical.
     """
     db = _build_db(table, plan=plan, compile_=compile_)
     if warm:
         db.query_many(list(stream))
         db.query_many(list(stream))
-    wall = None
-    for _ in range(best_of):
-        t0 = time.perf_counter()
-        results = db.query_many(list(stream))
-        elapsed = time.perf_counter() - t0
-        wall = elapsed if wall is None else min(wall, elapsed)
+    results = db.query_many(list(stream))
+    wall = min_of_k(lambda: db.query_many(list(stream)))
     return db, results, wall
 
 
@@ -159,13 +159,13 @@ def run_plan_benchmark(repeats: int = REPEATS) -> dict:
 
     # -- interpreted planner (CSE + sub-result cache, no kernel compiler) ----
     db_interp, interp_results, interp_wall = _run_arm(
-        table, stream, plan=True, compile_=False, warm=True, best_of=3
+        table, stream, plan=True, compile_=False, warm=True
     )
     interp_sim, interp_energy = _sim_totals(interp_results)
 
     # -- compiled planner (kernel compiler + resident replay) ----------------
     db_comp, comp_results, comp_wall = _run_arm(
-        table, stream, plan=True, compile_=True, warm=True, best_of=3
+        table, stream, plan=True, compile_=True, warm=True
     )
     comp_sim, comp_energy = _sim_totals(comp_results)
 

@@ -25,7 +25,7 @@ Honesty rules, in the same spirit as the planner's serve pricing:
   interpreted: its cache misses are real and must be priced (and they
   fill the cache).  The **second sighting** runs interpreted too and is
   recorded only if it was perfectly steady (zero cache misses, zero
-  wave compilations, zero host fallbacks during the run); the third
+  program compilations, zero host fallbacks during the run); the third
   and later sightings replay the record.
 - A record's accounting delta is exactly what the interpreted steady
   run paid (batch pricing is content-determined, so the delta is
@@ -213,7 +213,7 @@ class AnalyticsCompiler:
     """Shape-keyed whole-query program cache for the ``analyze`` verb.
 
     Disabled (:meth:`run` just interprets) unless the runtime has a
-    planner with wave compilation on -- the compiler sits strictly
+    planner with compilation on -- the compiler sits strictly
     *above* the planner and relies on its stamps for validation and on
     its steady-state serve pricing for the recorded deltas.
     """
@@ -225,7 +225,7 @@ class AnalyticsCompiler:
         self.enabled = planner is not None and planner.compile_enabled
         self.stats = AnalyticsStats()
         #: shape key -> AnalyticsProgram, bounded LRU (the same store
-        #: the wave compiler uses for its programs)
+        #: the planner uses for its programs)
         self.programs = ProgramCache(_MAX_PROGRAMS)
         if self.enabled:
             self.executor = runtime.system.executor

@@ -18,7 +18,7 @@ everything else in the import graph).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, runtime_checkable
+from typing import Dict, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.memsim.address import OpLocality
 from repro.memsim.controller import CommandKind, ExecutionStats
@@ -106,9 +106,9 @@ class OpAccounting:
     def merge_from(self, other: "OpAccounting") -> None:
         """In-place :meth:`merged`: same field and dict accumulation
         order, so ``a.merged(x).merged(y)`` and ``t = a.merged(x);
-        t.merge_from(y)`` produce bit-identical floats -- the planner's
-        serve/replay hot paths rely on that to accumulate a wave without
-        one allocation per item."""
+        t.merge_from(y)`` produce bit-identical floats -- :meth:`merged_all`
+        relies on that to accumulate a wave without one allocation per
+        item."""
         self.latency += other.latency
         self.energy += other.energy
         self.in_memory_steps += other.in_memory_steps
@@ -119,6 +119,19 @@ class OpAccounting:
             self.locality_counts[loc] = self.locality_counts.get(loc, 0) + n
         for kind, e in other.energy_by_kind.items():
             self.energy_by_kind[kind] = self.energy_by_kind.get(kind, 0.0) + e
+
+    def merged_all(self, others: Iterable["OpAccounting"]) -> "OpAccounting":
+        """``self.merged(a).merged(b)...`` with one allocation: the first
+        :meth:`merged` copies, :meth:`merge_from` folds in the rest
+        (bit-identical floats).  ``self`` is never mutated; with no
+        ``others`` it is returned as is."""
+        out = None
+        for other in others:
+            if out is None:
+                out = self.merged(other)
+            else:
+                out.merge_from(other)
+        return self if out is None else out
 
     def merged(self, other: "OpAccounting") -> "OpAccounting":
         out = OpAccounting(

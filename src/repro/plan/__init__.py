@@ -1,4 +1,4 @@
-"""Query planning, sub-result reuse, and kernel compilation.
+"""Query planning, sub-result reuse, and program compilation.
 
 The layer between the applications/serving tier and the batched driver
 path: :class:`QueryPlanner` compiles each request stream into a
@@ -7,23 +7,24 @@ coalesced wave and across the whole request stream, and serves repeated
 sub-results out of a write-invalidated :class:`SubResultCache` at the
 price of a row-buffer read instead of a full in-memory execution.
 
-Recurring wave *shapes* additionally lower into flat numpy programs
-(:mod:`repro.plan.compile`): preallocated command columns priced through
-the real controller plus a leveled, grouped instruction list executed as
-a handful of vectorized ufunc passes -- byte-identical simulated cost,
-an order of magnitude less host wall-clock.  Programs live in a
-:class:`ProgramCache` keyed by canonical DAG shape.
+Every exec wave runs through the driver's row-parallel flush.  What
+recurs around it compiles (:mod:`repro.plan.compile`): to-host calls
+freeze into :class:`ToHostProgram` replays, served results price a
+per-shape serve template, and repairs and analytics queries replay
+their own recorded programs -- byte-identical simulated cost, less host
+wall-clock.  Programs live in a :class:`ProgramCache` keyed by
+canonical shape.
 
 Enable it per runtime with ``PimRuntime(..., plan=True)``; everything
 issued through ``pim_op`` / ``pim_op_many`` then plans automatically.
-``QueryPlanner(..., compile=False)`` keeps fully interpreted wave
-execution -- the priced reference the differential suites compare
-against.  Writes always delta-repair the cached sub-results they reach
+``QueryPlanner(..., compile=False)`` interprets every to-host call,
+serve, repair and analytics query -- the priced reference the
+differential suites compare against.  Writes always delta-repair the cached sub-results they reach
 (:mod:`repro.plan.repair`), falling back to eager invalidation.
 """
 
 from repro.plan.cache import CacheEntry, ProgramCache, SubResultCache
-from repro.plan.compile import ToHostProgram, WaveProgram
+from repro.plan.compile import ToHostProgram
 from repro.plan.planner import PlanStats, QueryPlanner
 from repro.plan.repair import RepairEngine
 
@@ -35,5 +36,4 @@ __all__ = [
     "RepairEngine",
     "SubResultCache",
     "ToHostProgram",
-    "WaveProgram",
 ]

@@ -258,11 +258,11 @@ class SubResultCache:
 
 
 class ProgramCache:
-    """Bounded LRU of compiled kernel programs, keyed by DAG shape.
+    """Bounded LRU of compiled programs, keyed by canonical shape.
 
-    Values are :class:`repro.plan.compile.WaveProgram` /
-    :class:`~repro.plan.compile.ToHostProgram` instances or the compile
-    module's ``SEEN_ONCE`` / ``UNCOMPILABLE`` markers; the arithmetic
+    The planner's instance holds :class:`~repro.plan.compile.ToHostProgram`
+    instances (or the compile module's ``UNCOMPILABLE`` marker) and the
+    repair engine's frozen write-back batches; the arithmetic
     subsystem's :class:`~repro.arith.compile.AnalyticsProgram` keeps its
     whole-query analytics programs in a separate instance of this same
     store.  Programs are frame-agnostic and shape keys embed no content

@@ -71,14 +71,11 @@ from repro.plan.compile import (
     COMPILE_SECONDS,
     PROGRAM_HITS,
     PROGRAM_MISSES,
-    SEEN_ONCE,
     UNCOMPILABLE,
     UNCOMPILABLE_SHAPES,
     build_serve_template,
     build_to_host_program,
-    build_wave_program,
     to_host_shape_key,
-    wave_shape_key,
 )
 from repro.runtime.driver import PimDriver, PimRequest
 
@@ -336,12 +333,12 @@ class QueryPlanner:
         self.geometry = self.executor.geometry
         self.memory = self.executor.memory
         self.cache = SubResultCache(cache_bytes, cache_shards)
-        #: ``compile=False`` is the priced interpreter: fully interpreted
-        #: wave execution, the reference the differential suites compare
-        #: against (identical results and pricing, just no program
-        #: recording/replay)
+        #: ``compile=False`` is the priced interpreter: to-host calls,
+        #: serves and repairs all interpreted, the reference the
+        #: differential suites compare against (identical results and
+        #: pricing, just no program recording/replay)
         self.compile_enabled = bool(compile)
-        #: shape key -> WaveProgram/ToHostProgram or SEEN_ONCE/UNCOMPILABLE
+        #: shape key -> ToHostProgram / repair program, or UNCOMPILABLE
         self.programs = ProgramCache()
         #: (n_bits, channels bytes) -> ServeTemplate
         self._serve_templates: Dict[tuple, object] = {}
@@ -839,40 +836,27 @@ class QueryPlanner:
         wave.bind.clear()
 
     def _run_exec(self, exec_items: List[_Item]) -> List[OpResult]:
-        """Execute a wave's exec items, compiled when possible (a wave
-        shape compiles on its second sighting, see :meth:`_compiled`)."""
-        if not self.compile_enabled:
-            return self._interpret_exec(exec_items)
-        executor = self.executor
-        key = wave_shape_key(executor.mapper, exec_items, executor._current_mode)
-        if key is None:  # inter-chip placement: interpreted fallback owns it
-            return self._interpret_exec(exec_items)
-        return self._compiled(
-            key,
-            2,
-            lambda program: program.replay(self, exec_items),
-            lambda: self._interpret_exec(exec_items),
-            lambda recorded, results: build_wave_program(
-                self, exec_items, results, recorded, self.driver.last_order
-            ),
-            "wave",
-            len(exec_items),
-        )
+        """Execute a wave's exec items through one driver flush."""
+        driver = self.driver
+        for it in exec_items:
+            driver.submit(
+                it.req.op, it.req.dest, it.req.sources, it.req.n_bits,
+                it.req.overlap_chunks,
+            )
+        return driver.flush()
 
-    def _compiled(self, key, sightings: int, replay, interpret, build,
-                  kind: str, items: int):
-        """The compile lifecycle every program kind shares.
+    def _compiled(self, key, replay, interpret, build):
+        """The to-host compile lifecycle.
 
-        A shape's ``sightings``-th sighting (1 or 2) interprets with the
-        executor's record sink attached and lowers the recording with
-        ``build(recorded, interpreted result)`` -- into a program, or an
-        ``UNCOMPILABLE`` mark that keeps the shape interpreted forever;
-        earlier sightings interpret behind a ``SEEN_ONCE`` mark.  Every
-        later sighting replays the program: same memory effects,
+        A shape's first sighting interprets with the executor's record
+        sink attached and lowers the recording with ``build(recorded,
+        interpreted result)`` -- into a program, or an ``UNCOMPILABLE``
+        mark that keeps the shape interpreted forever.  Every later
+        sighting replays the program: same memory effects,
         byte-identical pricing through its frozen command batch.
         """
         entry = self.programs.get(key)
-        if entry is not None and entry is not SEEN_ONCE and entry is not UNCOMPILABLE:
+        if entry is not None and entry is not UNCOMPILABLE:
             PROGRAM_HITS.add()
             self.stats.program_hits += 1
             return replay(entry)
@@ -880,16 +864,13 @@ class QueryPlanner:
         self.stats.program_misses += 1
         if entry is UNCOMPILABLE:
             return interpret()
-        if entry is None and sightings > 1:
-            self.programs.put(key, SEEN_ONCE)
-            return interpret()
         executor = self.executor
         executor.record_sink = recorded = []
         try:
             out = interpret()
         finally:
             executor.record_sink = None
-        with telemetry.span("plan.compile.program", kind=kind, items=items):
+        with telemetry.span("plan.compile.program", kind="to_host"):
             t0 = perf_counter()
             program = build(recorded, out)
             dt = perf_counter() - t0
@@ -903,15 +884,6 @@ class QueryPlanner:
             self.stats.compilations += 1
             self.programs.put(key, program)
         return out
-
-    def _interpret_exec(self, exec_items: List[_Item]) -> List[OpResult]:
-        driver = self.driver
-        for it in exec_items:
-            driver.submit(
-                it.req.op, it.req.dest, it.req.sources, it.req.n_bits,
-                it.req.overlap_chunks,
-            )
-        return driver.flush()
 
     def execute_to_host(
         self,
@@ -985,7 +957,6 @@ class QueryPlanner:
                 return interpret()
             return self._compiled(
                 key,
-                1,
                 lambda program: program.replay(
                     executor, source_frame_lists, n_bits
                 ),
@@ -993,8 +964,6 @@ class QueryPlanner:
                 lambda recorded, out: build_to_host_program(
                     recorded, op, out[1], n_chunks
                 ),
-                "to_host",
-                1,
             )
         finally:
             self._wave_depth -= 1
@@ -1036,20 +1005,15 @@ class QueryPlanner:
                     _serve_result(it.req.op, item_stats, it.req.n_bits)
                     for it, item_stats in zip(serve_items, per_item)
                 ]
-            # accumulate the wave in place (bit-identical to the
-            # per-item merged() chain -- see OpAccounting.merge_from)
-            driver_acct = None
             stats = self.stats
             for it, result in zip(serve_items, served):
                 results[it.index] = result
-                acct = result.accounting
-                if driver_acct is None:
-                    driver_acct = self.driver.stats.accounting.merged(acct)
-                else:
-                    driver_acct.merge_from(acct)
-                stats.served_latency_s += acct.latency
-                stats.served_energy_j += acct.energy
-            self.driver.stats.accounting = driver_acct
+                stats.served_latency_s += result.accounting.latency
+                stats.served_energy_j += result.accounting.energy
+            driver_stats = self.driver.stats
+            driver_stats.accounting = driver_stats.accounting.merged_all(
+                r.accounting for r in served
+            )
 
     def _serve_compiled(
         self, serve_items: List[_Item], primary_rows: Dict[int, np.ndarray]

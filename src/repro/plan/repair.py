@@ -346,9 +346,8 @@ class RepairEngine:
         change, e.g. a different SA mux, can never replay a stale
         program), localities, channels, group fan-ins.  The frozen
         batch's ``n_bits`` column is patched with the differential
-        write-back widths before it joins the write's batch, exactly
-        like the wave programs' write-backs.  Hits, misses and builds
-        tally like every other program's (see
+        write-back widths before it joins the write's batch.  Hits,
+        misses and builds tally like the to-host programs' (see
         :meth:`QueryPlanner._compiled`).
         """
         planner = self.planner

@@ -90,7 +90,8 @@ class PimRuntime:
         ``PimRuntime.from_config(SystemConfig(technology="pcm"))`` by
         definition, and builds an equivalent system.
         ``plan``/``compile`` carry through to the constructor (planned
-        execution with the kernel compiler; delta repair is always on).
+        execution with the kernel compiler's to-host, serve and repair
+        programs; delta repair is always on).
         """
         from repro.backends.registry import build_system
 
@@ -165,9 +166,10 @@ class PimRuntime:
         to sequential :meth:`pim_op` calls.  Returns the OpResults in
         issue order.
 
-        With ``plan=True`` the whole stream is compiled by the
+        With ``plan=True`` the whole stream is planned by the
         :class:`~repro.plan.QueryPlanner`: duplicate sub-expressions are
-        eliminated within the batch and against the sub-result cache.
+        eliminated within the batch and against the sub-result cache,
+        and what remains executes through the same driver flush.
         """
         if self.planner is not None:
             return self.planner.execute_many(requests)
@@ -204,7 +206,8 @@ class PimRuntime:
         """The to-host call both bus verbs make: ``(packed rows, n_bits)``.
 
         Planned runtimes route through the kernel compiler, where the
-        call replays as a frozen program once its shape repeats.  The
+        call freezes into a to-host program on first sight and replays
+        it from the second.  The
         rows hold the result's first ``n_bits`` bits, little-endian;
         padding past them is undefined.
         """

@@ -113,10 +113,6 @@ class PimDriver:
         self.executor = executor
         self._queue: List[PimRequest] = []
         self.stats = DriverStats()
-        #: execution-order permutation of the most recent :meth:`flush`
-        #: (submission indices); the kernel compiler reads it to map
-        #: recorded command streams back to submitted requests
-        self.last_order: List[int] = []
 
     # -- request queue ------------------------------------------------------
 
@@ -202,7 +198,6 @@ class PimDriver:
         with telemetry.span("runtime.driver.flush") as sp:
             batch, self._queue = self._queue, []
             order = self._reorder(batch)
-            self.last_order = order
             ordered = [batch[i] for i in order]
             sp.add(requests=len(ordered))
             _FLUSHES.add()
@@ -239,11 +234,7 @@ class PimDriver:
                 except PlacementError:
                     results = None  # retry request-by-request with host fallback
                 if results is not None:
-                    for result in results:
-                        self.stats.instructions += 1
-                        self.stats.accounting = self.stats.accounting.merged(
-                            result.accounting
-                        )
+                    self._account(results)
                     return _submission_order(order, results)
 
             results = []
@@ -264,10 +255,19 @@ class PimDriver:
                     result = self._host_fallback(req)
                     self.stats.host_fallbacks += 1
                     _HOST_FALLBACKS.add()
-                self.stats.instructions += 1
-                self.stats.accounting = self.stats.accounting.merged(result.accounting)
                 results.append(result)
+            self._account(results)
             return _submission_order(order, results)
+
+    def _account(self, results: Sequence[OpResult]) -> None:
+        """Fold a flush's results into ``stats``: one new accounting
+        object per flush (an accounting captured earlier is never
+        mutated), bit-identical to a per-result ``merged`` chain."""
+        stats = self.stats
+        stats.instructions += len(results)
+        stats.accounting = stats.accounting.merged_all(
+            r.accounting for r in results
+        )
 
     def _host_fallback(self, req: PimRequest) -> OpResult:
         """Execute one request on the host: bus reads + CPU op + write."""

@@ -180,8 +180,10 @@ class ResidentPimEngine(ServiceEngine):
     The engine builds its runtime with ``plan=True`` and the kernel
     compiler on: request streams go through the
     :class:`~repro.plan.QueryPlanner`, repeated sub-expressions serve
-    from the sub-result cache, and recurring wave shapes replay as
-    compiled numpy programs.  Any other planner configuration (e.g. the
+    from the sub-result cache (recurring serves replay into the wave),
+    exec waves run through one driver flush, and recurring to-host
+    calls and analytics queries replay as compiled programs.  Any other
+    planner configuration (e.g. the
     interpreted ``compile=False`` reference) is injected as a prebuilt
     ``runtime=PimRuntime.from_config(config, plan=..., compile=...)``.
     """
@@ -335,7 +337,7 @@ class ResidentPimEngine(ServiceEngine):
             requests.append((call.op, dest, sources, n_bits))
             staged.append((dest, n_bits))
             plain_slots.append(i)
-        # pim_op_many routes through the planner (cache serves, compiled
+        # pim_op_many routes through the planner (cache serves, resident
         # replay) when the runtime has one, and is plain submit+flush
         # otherwise; results come back in submission order either way
         results = rt.pim_op_many(requests) if requests else []

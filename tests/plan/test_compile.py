@@ -1,16 +1,18 @@
-"""Tests for the kernel compiler: compiled vs interpreted parity.
+"""Tests for the program compiler: compiled vs interpreted parity.
 
 The compiled path is an *execution strategy*, never a semantic or
 pricing change: every test here runs the same request stream through
-``PimRuntime(plan=True)`` (kernel compiler on, the default) and
+``PimRuntime(plan=True)`` (compiler on, the default) and
 ``PimRuntime(plan=True, compile=False)`` (interpreted planner) and
 asserts byte-identical bitvector outputs plus simulated latency/energy
-agreement to 1e-9 relative.
+agreement to 1e-9 relative.  Exec waves take the driver flush in both
+arms, so their driver tallies must match exactly.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.apps.fastbit import FastBitDB, RangeQuery
 from repro.apps.fastbit_pim import PimFastBit
 from repro.apps.star import ColumnSpec, synthetic_star_table
@@ -60,6 +62,28 @@ def _loaded(rt, n_vectors=3, seed=5):
     return handles, bits
 
 
+#: the driver's always-live counters, read as deltas around a run
+_DRIVER_COUNTERS = tuple(
+    telemetry.counter(f"runtime.driver.{name}")
+    for name in ("requests", "flushes", "mode_switches", "host_fallbacks")
+)
+_DRIVER_FIELDS = ("requests", "instructions", "mode_switches", "host_fallbacks")
+
+
+def _counters():
+    return tuple(c.value for c in _DRIVER_COUNTERS)
+
+
+def _driver_tally(rt, before):
+    """The runtime's ``DriverStats`` fields and the ``runtime.driver.*``
+    counter deltas since ``before`` (a :func:`_counters` snapshot)."""
+    stats = rt.driver.stats
+    return (
+        tuple(getattr(stats, f) for f in _DRIVER_FIELDS),
+        tuple(now - then for now, then in zip(_counters(), before)),
+    )
+
+
 def _rel_close(a: float, b: float, rtol: float = RTOL) -> bool:
     return abs(a - b) <= rtol * max(abs(a), abs(b), 1.0)
 
@@ -84,8 +108,7 @@ def _play(rt, batches, passes=3, seed=11):
 
     Each pass rewrites every operand with fresh random contents: the
     writes invalidate the sub-result cache, so every pass re-executes
-    and the recurring wave *shapes* hit the kernel compiler (pass one
-    records, later passes replay the compiled programs).
+    the recurring wave *shapes* through the driver flush.
     """
     rng = np.random.default_rng(seed)
     handles, _ = _loaded(rt, n_vectors=6, seed=seed)
@@ -112,13 +135,17 @@ class TestCompiledVsInterpretedOps:
         rng = np.random.default_rng(seed)
         batches = _random_batches(rng, n_handles=6)
 
-        # repair=False pins the PR-6 write=>invalidate semantics this
-        # test asserts (every pass re-executes and hits the compiler);
-        # the repair path has its own differential suite in test_repair
+        # repair=False pins the write=>invalidate semantics this test
+        # asserts (every pass re-executes); the repair path has its own
+        # differential suite in test_repair
+        before = _counters()
         rt_c = _runtime(compile_=True, repair=False)
         outs_c, res_c = _play(rt_c, batches)
+        tally_c = _driver_tally(rt_c, before)
+        before = _counters()
         rt_i = _runtime(compile_=False, repair=False)
         outs_i, res_i = _play(rt_i, batches)
+        tally_i = _driver_tally(rt_i, before)
 
         assert len(outs_c) == len(outs_i)
         for bc, bi in zip(outs_c, outs_i):
@@ -135,9 +162,10 @@ class TestCompiledVsInterpretedOps:
         assert _rel_close(
             rt_c.pim_accounting.energy, rt_i.pim_accounting.energy
         )
-        # and the compiled arm really exercised the compiler
-        assert rt_c.plan_stats.compilations >= 1
-        assert rt_c.plan_stats.program_hits >= 1
+        # both arms flushed the same requests, instructions, mode
+        # switches and host fallbacks through the driver
+        assert tally_c == tally_i
+        assert tally_c[1][1] >= 1  # at least one flush
         assert rt_i.plan_stats.compilations == 0
 
     def test_served_destination_read_by_later_exec_request(self):
@@ -345,45 +373,58 @@ class TestCompiledVsInterpretedFastBit:
 
 class TestRecompilationAfterWrite:
     def test_write_invalidation_reexecutes_compiled(self):
-        """The satellite test: a write to an operand row drops the stale
-        sub-results; the compiled path re-executes (reusing the
-        frame-agnostic program) and matches the numpy oracle.
-        ``repair=False``: this asserts the eager-invalidation path."""
-        rt = _runtime(compile_=True, repair=False)
-        (a, b, c), (ba, bb, bc) = _loaded(rt)
+        """A write to an operand row drops the stale sub-results; the
+        compiled path re-executes through the same driver flushes as the
+        interpreter and matches the numpy oracle.  ``repair=False``:
+        this asserts the eager-invalidation path."""
 
-        def issue():
-            d1, d2 = rt.pim_malloc(N), rt.pim_malloc(N)
-            rt.pim_op_many([("or", d1, [a, b]), ("and", d2, [b, c])])
-            return rt.pim_read(d1), rt.pim_read(d2)
+        def run(compile_):
+            before = _counters()
+            rt = _runtime(compile_=compile_, repair=False)
+            (a, b, c), (ba, bb, bc) = _loaded(rt)
+            results = []
 
-        issue()  # executes (shape seen once), fills the sub-result cache
-        issue()  # serves; compiler records the served-run shapes
-        issue()  # replays the served run
-        replays = rt.plan_stats.serve_replays
-        programs = len(rt.planner.programs)
-        assert replays >= 1
+            def issue():
+                d1, d2 = rt.pim_malloc(N), rt.pim_malloc(N)
+                results.extend(
+                    rt.pim_op_many([("or", d1, [a, b]), ("and", d2, [b, c])])
+                )
+                return rt.pim_read(d1), rt.pim_read(d2)
 
-        rng = np.random.default_rng(17)
-        for _ in range(3):
-            new_b = rng.integers(0, 2, N, dtype=np.uint8)
-            rt.pim_write(b, new_b)  # invalidates both cached sub-results
-            r1, r2 = issue()  # must re-execute against the new contents
-            assert np.array_equal(r1, ba | new_b)
-            assert np.array_equal(r2, new_b & bc)
-            r1, r2 = issue()  # repopulated cache serves again
-            assert np.array_equal(r1, ba | new_b)
-            assert np.array_equal(r2, new_b & bc)
-        # the stale served runs were never replayed against old contents
-        # (the post-write passes re-executed, then re-served)...
-        assert rt.plan_stats.serve_replays >= replays
-        # ...and by the second write-invalidation cycle the recurring
-        # exec-wave shape compiled and replayed as a flat program
-        assert rt.plan_stats.compilations >= 1
-        assert rt.plan_stats.program_hits >= 1
-        # programs are frame-agnostic: recompilation reuses cache slots
-        # (seen-once markers upgrade in place, no unbounded growth)
-        assert len(rt.planner.programs) <= programs + 2
+            issue()  # executes, fills the sub-result cache
+            issue()  # serves; compiler records the served-run shapes
+            issue()  # replays the served run
+            replays = rt.plan_stats.serve_replays
+            programs = len(rt.planner.programs)
+            if compile_:
+                assert replays >= 1
+
+            rng = np.random.default_rng(17)
+            for _ in range(3):
+                new_b = rng.integers(0, 2, N, dtype=np.uint8)
+                rt.pim_write(b, new_b)  # invalidates both cached sub-results
+                r1, r2 = issue()  # must re-execute against the new contents
+                assert np.array_equal(r1, ba | new_b)
+                assert np.array_equal(r2, new_b & bc)
+                r1, r2 = issue()  # repopulated cache serves again
+                assert np.array_equal(r1, ba | new_b)
+                assert np.array_equal(r2, new_b & bc)
+            # the stale served runs were never replayed against old
+            # contents (the post-write passes re-executed, then re-served)
+            assert rt.plan_stats.serve_replays >= replays
+            # no unbounded program growth across invalidation cycles
+            assert len(rt.planner.programs) <= programs + 2
+            return results, _driver_tally(rt, before)
+
+        res_c, tally_c = run(True)
+        res_i, tally_i = run(False)
+        # every exec wave took the same driver flush in both arms
+        assert tally_c == tally_i
+        assert len(res_c) == len(res_i)
+        for rc, ri in zip(res_c, res_i):
+            assert rc.steps == ri.steps
+            assert _rel_close(rc.latency, ri.latency)
+            assert _rel_close(rc.energy, ri.energy)
 
     def test_recompiled_results_reprice_identically(self):
         """Pricing parity must survive a write-invalidation cycle."""

@@ -209,3 +209,30 @@ class TestPimRequest:
         first = PimRequest(PimOp.OR, c, (a, b), 8)
         second = PimRequest(PimOp.XOR, d, (a, b), 8)
         assert not second.depends_on(first)
+
+
+class TestDriverAccounting:
+    @pytest.mark.parametrize("n_requests", [1, 4])
+    def test_flush_folds_results_into_a_new_total(self, rt, n_requests):
+        """A flush leaves an accounting object captured before it
+        untouched and totals bit for bit what a per-result ``merged``
+        chain gives (one request: the per-request path; four: the
+        ``bitwise_many`` batch)."""
+        handles, _ = make_vectors(rt, 4)
+        rt.pim_op("xor", rt.pim_malloc(SMALL.row_bits, "g"), handles[:2])
+        before = rt.driver.stats.accounting
+        snapshot = before.to_dict()
+        # op-grouped already, so execution order is submission order
+        for i, op in enumerate(("or", "or", "and", "and")[:n_requests]):
+            dest = rt.pim_malloc(SMALL.row_bits, "g")
+            rt.driver.submit(op, dest, handles[i % 3:i % 3 + 2])
+        results = rt.driver.flush()
+        assert len(results) == n_requests
+        assert before.to_dict() == snapshot
+        chain = before
+        for result in results:
+            chain = chain.merged(result.accounting)
+        after = rt.driver.stats.accounting
+        assert after is not before
+        assert after.to_dict() == chain.to_dict()
+        assert rt.driver.stats.instructions == 1 + n_requests
