@@ -13,9 +13,9 @@ identical systems:
   sub-result cache, one Python pass per wave;
 - *compiled*: ``PimRuntime(plan=True)``, the kernel compiler
   additionally freezes the recurring popcount reductions into to-host
-  programs and replays recurring cache-served runs into the wave
-  (whole-query analytics compilation off, so this arm isolates the
-  planner's compiled tiers);
+  programs and prices cache serves from memoized per-shape serve
+  templates (whole-query analytics compilation off, so this arm
+  isolates the planner's compiled tiers);
 - *analytics*: the full stack -- on top of the compiled planner the
   :class:`~repro.arith.compile.AnalyticsCompiler` replays whole
   steady-state queries from shape-keyed programs with the comparison
@@ -140,7 +140,7 @@ def _run_arm(data, stream, plan: bool, compile_: bool, warm: bool,
              analytics: bool = False):
     """Build one arm, optionally warm it, and measure the stream.
 
-    Warming runs the stream twice unmeasured (cache fill, then replay
+    Warming runs the stream twice unmeasured (cache fill, then program
     recording) so the measured passes are genuine steady state.  The
     next pass's results are returned (the uncached arm's first, cold
     pass); the wall time is :func:`min_of_k` over further passes.
@@ -186,7 +186,7 @@ def run_arith_benchmark(repeats: int = REPEATS) -> dict:
     )
     interp_sim, interp_energy = _sim_totals(interp_results)
 
-    # -- compiled planner (to-host popcount programs, resident replay) ------
+    # -- compiled planner (to-host popcount programs, serve templates) ------
     comp_table, comp_results, comp_wall = _run_arm(
         data, stream, plan=True, compile_=True, warm=True
     )

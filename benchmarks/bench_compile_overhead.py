@@ -1,8 +1,8 @@
 """Kernel-compiler overhead: compile cost vs steady-state break-even.
 
 The compiler only pays off if its one-time cost (recording a to-host
-call and freezing it into a program, recording resident replay state
-for cache serves) is amortised by cheaper steady-state passes.  On the
+call and freezing it into a program, building the serve templates that
+price cache serves) is amortised by cheaper steady-state passes.  On the
 ``bench_plan_cache`` workload every query's popcount shares one to-host
 shape, so the compiled arm records one program and replays it on every
 later call.  This benchmark measures both sides:
@@ -52,8 +52,8 @@ def run_compile_overhead(repeats: int = REPEATS) -> dict:
     n_queries = len(stream)
 
     # Both planner arms walk the same lifecycle: pass 1 executes and
-    # fills the cache, pass 2 serves (and, compiled, records programs +
-    # resident state), passes 3+ are steady state.
+    # fills the cache, pass 2 serves (and, compiled, records programs
+    # and builds serve templates), passes 3+ are steady state.
     db_comp = _build_db(table, plan=True, compile_=True)
     comp_cold = _timed_pass(db_comp, stream)
     comp_record = _timed_pass(db_comp, stream)
@@ -86,7 +86,6 @@ def run_compile_overhead(repeats: int = REPEATS) -> dict:
             "compile_seconds": comp_stats.compile_seconds,
             "compilations": comp_stats.compilations,
             "program_hits": comp_stats.program_hits,
-            "serve_replays": comp_stats.serve_replays,
         },
         "interpreted": {
             "cold_pass_s": interp_cold,

@@ -18,12 +18,13 @@ Three identical planned runtimes play the same stream:
   place: one 2-operand XOR per dirtied chunk for linear ops, a
   delta-masked recompute of only the dirtied chunk for AND/OR, priced
   through the real controller; every following read is a cache hit;
-- *repair (compiled)*: ``compile=True`` -- the same
-  repairs replayed as frozen repair programs out of the ProgramCache.
+- *repair (compiled)*: ``compile=True`` -- the same repairs, emitted
+  from the same memoized step templates (compilation changes only the
+  serve and to-host tiers around them).
 
 All arms must answer byte-identically to a live numpy mirror (the
 uncached oracle); the two repair arms must price identically to 1e-9
-relative (the repair program is an execution strategy, never a pricing
+relative (compilation is an execution strategy, never a pricing
 change).  The headline claim, guarded by ``check_bench_regression.py``:
 at a >= 10% write ratio the repair path clears **2x the invalidation
 arm's simulated ops/s**.  Results land in ``BENCH_repair.json``.

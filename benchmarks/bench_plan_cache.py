@@ -13,12 +13,13 @@ identical systems:
   per wave;
 - *compiled*: ``PimRuntime(plan=True)`` (compile on by default), the
   kernel compiler additionally freezes each query's to-host popcount
-  into a replayed program and replays recurring cache-served runs
-  without re-planning.
+  into a replayed program and prices cache serves from memoized
+  per-shape serve templates.
 
 The planner arms are warmed with two unmeasured passes of the stream
-(pass one populates the sub-result cache, pass two records the
-resident replay state), then measured in steady state.  Every arm's
+(pass one populates the sub-result cache, pass two records the to-host
+programs and builds the serve templates), then measured in steady
+state.  Every arm's
 wall time is the best per-pass time of :func:`bench_io.min_of_k`
 windows.  All three runs
 must answer byte-identically; the planner arms must price identically
@@ -120,11 +121,11 @@ def _run_arm(table, stream, plan: bool, compile_: bool, warm: bool):
 
     Warming runs the stream twice unmeasured: the first pass fills the
     sub-result cache (everything executes), the second runs all-serve
-    waves so the kernel compiler records its resident replay state --
-    the measured passes are then genuine steady state for both planner
-    arms.  The next pass's results are returned (the uncached arm's
-    first, cold pass); the wall time is :func:`min_of_k` over further
-    passes, whose answers are identical.
+    waves so the kernel compiler records its to-host programs and
+    builds its serve templates -- the measured passes are then genuine
+    steady state for both planner arms.  The next pass's results are
+    returned (the uncached arm's first, cold pass); the wall time is
+    :func:`min_of_k` over further passes, whose answers are identical.
     """
     db = _build_db(table, plan=plan, compile_=compile_)
     if warm:
@@ -163,7 +164,7 @@ def run_plan_benchmark(repeats: int = REPEATS) -> dict:
     )
     interp_sim, interp_energy = _sim_totals(interp_results)
 
-    # -- compiled planner (kernel compiler + resident replay) ----------------
+    # -- compiled planner (to-host programs + serve templates) ---------------
     db_comp, comp_results, comp_wall = _run_arm(
         table, stream, plan=True, compile_=True, warm=True
     )
@@ -240,15 +241,13 @@ def _write_result(result: dict) -> None:
 
 
 def _report(result: dict) -> str:
-    plan = result["compiled"]["plan"]
     return (
         f"plan cache ({result['workload']['n_queries']} queries, "
         f"{result['workload']['unique_queries']} unique): "
         f"uncached {result['uncached']['queries_per_s']:.0f} q/s, "
         f"interpreted {result['planned']['queries_per_s']:.0f} q/s, "
         f"compiled {result['compiled']['queries_per_s']:.0f} q/s "
-        f"(replays {plan['serve_replays']}, "
-        f"{result['compiled_vs_pr5_baseline']:.1f}x the PR-5 baseline of "
+        f"({result['compiled_vs_pr5_baseline']:.1f}x the PR-5 baseline of "
         f"{result['pr5_uncached_baseline']:.0f} q/s) -> {RESULT_PATH.name}"
     )
 

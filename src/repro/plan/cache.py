@@ -95,9 +95,9 @@ class SubResultCache:
     def peek(self, key: CacheKey) -> Optional[CacheEntry]:
         """Presence probe: no hit/miss tally, no LRU touch.
 
-        The planner's resident-wave validation uses this to ask "would
-        these lookups all hit?" before committing to a replay whose
-        tallies must then match the interpreted path exactly.
+        Planning never probes (every lookup it makes is a tallied
+        :meth:`get`); tests use this to inspect the store without
+        disturbing its tallies or LRU order.
         """
         return self._shards[self._shard_of(key)].get(key)
 
@@ -261,14 +261,13 @@ class ProgramCache:
     """Bounded LRU of compiled programs, keyed by canonical shape.
 
     The planner's instance holds :class:`~repro.plan.compile.ToHostProgram`
-    instances (or the compile module's ``UNCOMPILABLE`` marker) and the
-    repair engine's frozen write-back batches; the arithmetic
-    subsystem's :class:`~repro.arith.compile.AnalyticsProgram` keeps its
-    whole-query analytics programs in a separate instance of this same
-    store.  Programs are frame-agnostic and shape keys embed no content
-    versions, so -- unlike :class:`SubResultCache` entries -- they need
-    no write invalidation: a memory write changes *which* requests
-    execute, never what a shape's command stream looks like.  (Analytics
+    instances (or the compile module's ``UNCOMPILABLE`` marker); the
+    arithmetic subsystem's :class:`~repro.arith.compile.AnalyticsProgram`
+    keeps its whole-query analytics programs in a separate instance of
+    this same store.  Programs are frame-agnostic and shape keys embed
+    no content versions, so -- unlike :class:`SubResultCache` entries --
+    they need no write invalidation: a memory write changes *which*
+    requests execute, never what a shape's command stream looks like.  (Analytics
     program records *do* pin frames; they validate against the
     planner's write versions, which writes and frees both bump.)
     Eviction only ever costs a recompile on the next recurrence.

@@ -27,10 +27,8 @@ frames at replay time.  Write invalidation needs no program-level hook
 replay.  Calls a program cannot replay (ones that ran accumulation
 passes, whose scratch writes are not replayed) are marked
 :data:`UNCOMPILABLE` and stay interpreted forever; inter-chip shapes
-get no key at all.  The repair engine (``plan/repair.py``) freezes
-its programs with the same :func:`freeze_batch`, and the analytics
-compiler (``arith/compile.py``) marks first sightings with
-:data:`SEEN_ONCE`.
+get no key at all.  The analytics compiler (``arith/compile.py``)
+marks first sightings with :data:`SEEN_ONCE`.
 """
 
 from __future__ import annotations
@@ -89,9 +87,9 @@ class _FrozenBatch:
     Duck-types exactly the surface ``MemoryController.execute_batch``
     reads (column sequences, ``op_starts``/``op_segment_starts``,
     ``n_segments``, ``__len__``), so replay prices through the real
-    controller with zero list-to-array conversion cost.  ``n_bits`` is
-    the one mutable column: write-back widths are patched in place
-    before each pricing pass.
+    controller with zero list-to-array conversion cost.  The columns
+    never change, so every frozen batch opts into the controller's
+    memoized pricing (``price_memo_ok``).
     """
 
     __slots__ = (
@@ -100,27 +98,21 @@ class _FrozenBatch:
         "price_memo", "price_memo_ok",
     )
 
-    def __init__(self, cols, op_starts, op_segment_starts, n_segments,
-                 memo_ok: bool):
+    def __init__(self, cols, op_starts, op_segment_starts, n_segments):
         (self.kinds, self.channels, self.n_bits, self.n_steps,
          self.transfer_bytes, self.segments) = cols
         self.op_starts = op_starts
         self.op_segment_starts = op_segment_starts
         self.n_segments = n_segments
         self.price_memo = None
-        self.price_memo_ok = memo_ok
+        self.price_memo_ok = True
 
     def __len__(self) -> int:
         return self.kinds.size
 
 
-def freeze_batch(batch, memo_ok: bool = False) -> _FrozenBatch:
-    """Snapshot a :class:`CommandBatch`'s columns into a frozen batch.
-
-    ``memo_ok=True`` marks the columns immutable, opting into the
-    controller's memoized batch pricing; leave it False when the replay
-    patches widths (repair programs' differential write-backs).
-    """
+def freeze_batch(batch) -> _FrozenBatch:
+    """Snapshot a :class:`CommandBatch`'s columns into a frozen batch."""
     return _FrozenBatch(
         (
             np.asarray(batch.kinds, dtype=np.intp),
@@ -133,7 +125,6 @@ def freeze_batch(batch, memo_ok: bool = False) -> _FrozenBatch:
         np.asarray(batch.op_starts, dtype=np.intp),
         np.asarray(batch.op_segment_starts, dtype=np.intp),
         batch.n_segments,
-        memo_ok,
     )
 
 
@@ -220,7 +211,7 @@ def build_serve_template(geometry, n_bits: int, channels: np.ndarray) -> ServeTe
     )
     zero = np.zeros(1, dtype=np.intp)
     t = ServeTemplate()
-    t.frozen = _FrozenBatch(cols, zero, zero, n_chunks, True)
+    t.frozen = _FrozenBatch(cols, zero, zero, n_chunks)
     t.results = {}
     return t
 
@@ -283,7 +274,7 @@ def build_to_host_program(
     if flavor != "to_host" or result.steps != n_chunks:
         return None
     prog = ToHostProgram()
-    prog.frozen = freeze_batch(batch, memo_ok=True)
+    prog.frozen = freeze_batch(batch)
     prog.op = op
     prog.n_chunks = n_chunks
     prog.steps = result.steps

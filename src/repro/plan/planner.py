@@ -88,7 +88,9 @@ _MAX_BINDINGS = 8192
 
 _CSE_HITS = telemetry.counter("plan.cse_hits")
 _PLANNED = telemetry.counter("plan.requests")
-_SERVE_REPLAYS = telemetry.counter("plan.serve.replays")
+#: never incremented (planning admits every serve; nothing replays
+#: them), but benchmarks/e2e --trace reads it
+telemetry.counter("plan.serve.replays")
 
 
 def _serve_commands(batch, geometry, channel_of, dest_frames, n_bits):
@@ -147,7 +149,6 @@ class PlanStats:
         "program_misses",
         "compilations",
         "compile_seconds",
-        "serve_replays",
         "repairs",
         "repair_fallbacks",
         "repaired_chunks",
@@ -169,7 +170,6 @@ class PlanStats:
         self.program_misses = 0
         self.compilations = 0
         self.compile_seconds = 0.0
-        self.serve_replays = 0
         self.repairs = 0
         self.repair_fallbacks = 0
         self.repaired_chunks = 0
@@ -197,7 +197,6 @@ class PlanStats:
             "program_misses": self.program_misses,
             "compilations": self.compilations,
             "compile_seconds": self.compile_seconds,
-            "serve_replays": self.serve_replays,
             "repairs": self.repairs,
             "repair_fallbacks": self.repair_fallbacks,
             "repaired_chunks": self.repaired_chunks,
@@ -229,7 +228,6 @@ class _Item:
         "kind",  # "exec" | "serve"
         "rows",  # serve: cached rows (None when copied from a primary)
         "primary",  # serve: the exec _Item whose result this duplicates
-        "tmpl",  # serve, compiled: the ServeTemplate that prices it
         "cacheable",
         "has_dups",
     )
@@ -244,7 +242,6 @@ class _Item:
         self.kind = kind
         self.rows = None
         self.primary = None
-        self.tmpl = None
         self.cacheable = False
         self.has_dups = False
 
@@ -266,36 +263,6 @@ class _Wave:
         self.bind: Dict[int, Tuple[tuple, tuple, FrozenSet[int]]] = {}
 
 
-class _ResidentItem:
-    """One recorded cache serve: what re-admitting it as a serve needs.
-
-    Recorded whenever a compiled planner serves a request straight from
-    the sub-result cache.  The store is *content-addressed*: the lookup
-    key is ``(canonical expression key, overlap flag, destination
-    channel layout)``, never raw frame numbers -- scratch vectors rotate
-    through physical rows between queries, so frame identity is
-    meaningless across calls, while the expression key pins both the
-    operand contents (leaf frames + versions) and the command pricing
-    (bit widths; the channel layout fixes the serve command columns).
-    Destination frames come from the live request and rows from the
-    cache at replay time, so a record never keeps an evicted entry's
-    rows alive.
-    """
-
-    __slots__ = (
-        "key",  # canonical expression key
-        "leaves",  # frozenset of the expression's transitive leaf frames
-        "n_chunks",
-        "template",  # the ServeTemplate that prices the serve
-    )
-
-    def __init__(self, key, leaves, n_chunks, template):
-        self.key = key
-        self.leaves = leaves
-        self.n_chunks = n_chunks
-        self.template = template
-
-
 class _Stamp:
     """A frame set's write versions at one moment (see
     :meth:`QueryPlanner.stamp`)."""
@@ -314,10 +281,6 @@ class _Stamp:
         self.evictions = evictions
 
 
-#: cap on retained resident serve items per planner
-_MAX_RESIDENT = 4096
-
-
 class QueryPlanner:
     """Compiles request streams into minimally-executed driver waves."""
 
@@ -333,12 +296,13 @@ class QueryPlanner:
         self.geometry = self.executor.geometry
         self.memory = self.executor.memory
         self.cache = SubResultCache(cache_bytes, cache_shards)
-        #: ``compile=False`` is the priced interpreter: to-host calls,
-        #: serves and repairs all interpreted, the reference the
-        #: differential suites compare against (identical results and
-        #: pricing, just no program recording/replay)
+        #: ``compile=False`` is the priced interpreter: to-host calls
+        #: and serves interpreted, the reference the differential
+        #: suites compare against (identical results and pricing, just
+        #: no program recording/replay); repairs emit the same way in
+        #: both modes
         self.compile_enabled = bool(compile)
-        #: shape key -> ToHostProgram / repair program, or UNCOMPILABLE
+        #: to-host shape key -> ToHostProgram, or UNCOMPILABLE
         self.programs = ProgramCache()
         #: (n_bits, channels bytes) -> ServeTemplate
         self._serve_templates: Dict[tuple, object] = {}
@@ -368,8 +332,6 @@ class QueryPlanner:
         #: request key, skipping the per-request sort of recurring
         #: operand combinations
         self._canon_keys: Dict[tuple, tuple] = {}
-        #: content part -> _ResidentItem (replayable cache serves)
-        self._resident: "OrderedDict[tuple, _ResidentItem]" = OrderedDict()
         #: >0 while this planner itself is executing a wave; the dest
         #: writes a wave lands (serves, exec write-backs) always
         #: invalidate -- their grouping differs between the interpreted
@@ -469,8 +431,8 @@ class QueryPlanner:
     def replayable(self, stamp: _Stamp) -> bool:
         """:meth:`fresh`, and no cached sub-result was evicted since.
 
-        The check for a recorded serve pricing: it assumed every cache
-        entry it served from stayed resident.
+        The check for an analytics program record: its recorded pricing
+        assumed every cache entry it served from stayed resident.
         """
         return stamp.evictions == self.cache.evictions and self.fresh(stamp)
 
@@ -531,30 +493,6 @@ class QueryPlanner:
             self._leaf_keys.popitem(last=False)
         return key, leaves
 
-    def _request_key(
-        self, req: PimRequest, wave: _Wave
-    ) -> Tuple[tuple, FrozenSet[int], bool]:
-        """(canonical key, transitive leaf frames, aliased?) of a request.
-
-        ``aliased`` marks in-place accumulation: the destination's own
-        frames are among the expression's leaves, so the result is never
-        inserted (its key embeds pre-write versions no later lookup can
-        reproduce) and never served.
-        """
-        n_chunks = req_chunks = self.geometry.rows_for_bits(req.n_bits)
-        children = []
-        leaves: Set[int] = set()
-        for src in req.sources:
-            ck, cl = self._leaf_key(src, n_chunks, wave)
-            children.append(ck)
-            leaves.update(cl)
-        # OR/AND are commutative and idempotent (sorted set), XOR is
-        # commutative only (sorted multiset) -- _canon memoizes both
-        key = self._canon(req.op, req.n_bits, children)
-        dest_frames = req.dest.frames[:req_chunks]
-        aliased = any(f in leaves for f in dest_frames)
-        return key, frozenset(leaves), aliased
-
     # -- public API ----------------------------------------------------------
 
     def execute(
@@ -594,16 +532,8 @@ class QueryPlanner:
             with telemetry.span("plan.execute_many", requests=n):
                 results: List[Optional[OpResult]] = [None] * n
                 wave = _Wave()
-                probe = self.compile_enabled and len(self._resident) > 0
-                i = 0
-                while i < n:
-                    if probe:
-                        k = self._try_replay(reqs, i, wave)
-                        if k:
-                            i += k
-                            continue
-                    self._plan_one(i, reqs[i], wave, results)
-                    i += 1
+                for i, req in enumerate(reqs):
+                    self._plan_one(i, req, wave, results)
                 self._flush_wave(wave, results)
         finally:
             self._wave_depth -= 1
@@ -617,27 +547,6 @@ class QueryPlanner:
             chan = self.executor.mapper.channels_of(frames).tobytes()
             self._chan_bytes[frames] = chan
         return chan
-
-    def _req_part(self, req: PimRequest, wave: _Wave) -> tuple:
-        """One request's resident-store lookup part and destination.
-
-        ``(canonical expression key, overlap flag, destination channel
-        layout)`` -- resolved through the same bound/leaf memos the
-        interpreted path consults, live wave bindings included (a
-        source fed by a pending destination gets its pending expression
-        key), so the expression key embeds operand identity and content
-        (leaf frames + versions) while the channel layout fixes the
-        serve pricing.  Raw destination frame numbers are deliberately
-        absent: scratch rotates through physical rows between queries,
-        and a replay writes to whatever frames the live request names.
-        """
-        n_chunks = self.geometry.rows_for_bits(req.n_bits)
-        key = self._canon(req.op, req.n_bits, [
-            self._leaf_key(src, n_chunks, wave)[0] for src in req.sources
-        ])
-        dest_frames = req.dest.frames[:n_chunks]
-        part = (key, req.overlap_chunks, self._channels_bytes(dest_frames))
-        return part, dest_frames
 
     def _canon(self, op, n_bits: int, children: list) -> tuple:
         """Canonical request key, memoized on the submission-order
@@ -656,43 +565,6 @@ class QueryPlanner:
         self._canon_keys[raw] = key
         return key
 
-    def _try_replay(self, reqs: List[PimRequest], i: int, wave: _Wave) -> int:
-        """Admit the longest run of recorded cache serves starting at ``i``.
-
-        Returns the number of requests admitted (0 when request ``i``
-        has no resident record whose sub-result is still cached).  A
-        match skips operand-set and hazard bookkeeping, nothing else: it
-        joins the wave as the serve item :meth:`_plan_one`'s cache-hit
-        branch would build, and the flush writes, prices and binds it.
-        A pending exec key never matches, since it missed the cache and
-        the cache only grows at a flush.  The run ends at the first
-        request that is not a recorded serve, whose entry is gone, or
-        whose destination aliases its expression's leaves.
-        """
-        resident = self._resident
-        peek, get = self.cache.peek, self.cache.get
-        n = len(reqs)
-        j = i
-        while j < n:
-            req = reqs[j]
-            part, dest = self._req_part(req, wave)
-            res = resident.get(part)
-            if res is None or not res.leaves.isdisjoint(dest):
-                break
-            if peek(res.key) is None:
-                break
-            resident.move_to_end(part)
-            self.stats.requests += 1
-            self._admit_cached(j, req, res.key, res.leaves, dest, res.n_chunks,
-                               get(res.key).rows, wave, res.template)
-            j += 1
-        k = j - i
-        if k:
-            _PLANNED.add(k)
-            self.stats.serve_replays += 1
-            _SERVE_REPLAYS.add()
-        return k
-
     # -- planning ------------------------------------------------------------
 
     def _plan_one(
@@ -703,27 +575,46 @@ class QueryPlanner:
         n_chunks = self.geometry.rows_for_bits(req.n_bits)
         dest_frames = req.dest.frames[:n_chunks]
         while True:
-            key, leaves, aliased = self._request_key(req, wave)
+            children = []
+            child_leaves = []
+            for src in req.sources:
+                ck, cl = self._leaf_key(src, n_chunks, wave)
+                children.append(ck)
+                child_leaves.append(cl)
+            key = self._canon(req.op, req.n_bits, children)
+            # in-place accumulation: the destination is among its own
+            # leaves, so the result is never served or inserted (its key
+            # embeds pre-write versions no later lookup can reproduce)
+            # and no cache lookup is tallied
+            aliased = any(not cl.isdisjoint(dest_frames) for cl in child_leaves)
 
             if not aliased:
+                # the same expression pending in this wave (CSE) or
+                # cached: a serve item, materialised after the flush.  A
+                # key fixes its leaf frames, so a serve takes the
+                # primary's or the entry's instead of their union.
                 primary = wave.keys.get(key)
-                if primary is not None:
-                    # same expression already pending in this wave:
-                    # serve a copy of its result after the flush
+                entry = self.cache.get(key) if primary is None else None
+                if primary is not None or entry is not None:
+                    leaves = (
+                        primary.leaves if entry is None else entry.dep_frames
+                    )
                     item = _Item(index, req, key, leaves, dest_frames,
                                  n_chunks, "serve")
-                    item.primary = primary
-                    primary.has_dups = True
-                    self.stats.cse_hits += 1
-                    _CSE_HITS.add()
-                    self._admit_serve(item, wave)
-                    return
-                entry = self.cache.get(key)
-                if entry is not None:
-                    self._admit_cached(index, req, key, leaves, dest_frames,
-                                       n_chunks, entry.rows, wave)
+                    if primary is None:
+                        item.rows = entry.rows
+                        self.stats.cache_hits += 1
+                    else:
+                        item.primary = primary
+                        primary.has_dups = True
+                        self.stats.cse_hits += 1
+                        _CSE_HITS.add()
+                    wave.items.append(item)
+                    wave.serve_writes.update(dest_frames)
+                    wave.bind[req.dest.vid] = (dest_frames, key, leaves)
                     return
                 self.stats.cache_misses += 1
+            leaves = frozenset().union(*child_leaves)
 
             # exec-bound.  Flush first if this request would observe a
             # pending serve's write out of order (RAW/WAW against a
@@ -755,21 +646,6 @@ class QueryPlanner:
             wave.exec_writes |= dest_set
             wave.bind[req.dest.vid] = (dest_frames, key, leaves)
             return
-
-    def _admit_cached(self, index, req, key, leaves, dest_frames, n_chunks,
-                      rows, wave: _Wave, tmpl=None) -> None:
-        """Admit a cache hit (its ``cache.get`` already made) as a serve
-        item over the entry's ``rows``."""
-        item = _Item(index, req, key, leaves, dest_frames, n_chunks, "serve")
-        item.rows = rows
-        item.tmpl = tmpl
-        self.stats.cache_hits += 1
-        self._admit_serve(item, wave)
-
-    def _admit_serve(self, item: _Item, wave: _Wave) -> None:
-        wave.items.append(item)
-        wave.serve_writes.update(item.dest_frames)
-        wave.bind[item.req.dest.vid] = (item.dest_frames, item.key, item.leaves)
 
     # -- wave execution ------------------------------------------------------
 
@@ -1022,32 +898,21 @@ class QueryPlanner:
         memoized frozen batch (a pure function of ``(n_bits, per-chunk
         channels)``, see :class:`~repro.plan.compile.ServeTemplate`) and
         returns the template's shared result, and the destination rows
-        land in one :meth:`MainMemory.write_frames` pass.  A cache serve
-        that planning (not :meth:`_try_replay`) admitted is recorded in
-        the resident store here."""
+        land in one :meth:`MainMemory.write_frames` pass."""
         templates = self._serve_templates
-        resident = self._resident
         execute_batch = self.executor.controller.execute_batch
         frames_all: List[int] = []
         rows_parts = []
         served = []
         for it in serve_items:
             op, n_bits = it.req.op, it.req.n_bits
-            tmpl = it.tmpl
+            chan = self._channels_bytes(it.dest_frames)
+            tmpl = templates.get((n_bits, chan))
             if tmpl is None:
-                chan = self._channels_bytes(it.dest_frames)
-                tmpl = templates.get((n_bits, chan))
-                if tmpl is None:
-                    tmpl = templates[(n_bits, chan)] = build_serve_template(
-                        self.geometry, n_bits,
-                        self.executor.mapper.channels_of(it.dest_frames),
-                    )
-                if it.rows is not None:  # not a CSE copy of an exec item
-                    part = (it.key, it.req.overlap_chunks, chan)
-                    resident[part] = _ResidentItem(
-                        it.key, it.leaves, it.n_chunks, tmpl
-                    )
-                    resident.move_to_end(part)
+                tmpl = templates[(n_bits, chan)] = build_serve_template(
+                    self.geometry, n_bits,
+                    self.executor.mapper.channels_of(it.dest_frames),
+                )
             _total, (item_stats,) = execute_batch(tmpl.frozen, split_ops=True)
             result = tmpl.results.get(op)
             if result is None:
@@ -1056,8 +921,6 @@ class QueryPlanner:
             frames_all.extend(it.dest_frames)
             rows = it.rows if it.rows is not None else primary_rows[id(it.primary)]
             rows_parts.append(rows[: it.n_chunks])
-        while len(resident) > _MAX_RESIDENT:
-            resident.popitem(last=False)
         self.memory.write_frames(
             frames_all,
             rows_parts[0] if len(rows_parts) == 1 else np.concatenate(rows_parts),

@@ -30,10 +30,9 @@ exactly as pricing each entry separately would.
 
 Repaired entries are re-inserted, in pop order, under their canonical
 key at the *new* write versions, so later lookups of the same
-expression hit directly; :class:`ProgramCache` integration freezes the
-repair command batch per shape (chunk widths, sense steps, localities,
-group fan-ins) so the compiled planner re-prices recurring repairs
-without rebuilding command rows.
+expression hit directly.  The compiled and interpreted planners emit
+repairs identically: the step templates are already memoized by the
+executor, so there is no repair program to cache.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ from repro.core.stats import OpAccounting
 from repro.memsim.address import OpLocality
 from repro.memsim.controller import CommandBatch, CommandKind
 from repro.core.bitops import popcount_rows
-from repro.plan.compile import (
-    COMPILATIONS,
-    PROGRAM_HITS,
-    PROGRAM_MISSES,
-    freeze_batch,
-)
 
 __all__ = ["FALLBACK_CAUSES", "RepairEngine"]
 
@@ -84,9 +77,9 @@ class RepairEngine:
     """Applies algebraic delta repair to entries popped from the cache.
 
     Owned by one :class:`~repro.plan.planner.QueryPlanner`; state is
-    pure cost memos plus the planner's program cache, so the engine is
-    safe to drive from the memory's write listener (it never writes
-    main memory itself -- repairs land in the host-side cached rows).
+    pure cost memos, so the engine is safe to drive from the memory's
+    write listener (it never writes main memory itself -- repairs land
+    in the host-side cached rows).
     """
 
     __slots__ = ("planner", "_cost_memo", "_recompute_memo")
@@ -215,16 +208,27 @@ class RepairEngine:
         # -- one priced command stream, one accounting merge -----------------
         acct = OpAccounting()
         executor = planner.executor
+        step_rows = executor._step_rows
         sink = CommandBatch()
         pos = 0
         for p in plans:
             executor._set_mode(p.rep_op, sink)
-            frozen, wb_positions = self._program(p.rep_op, p.shape)
-            if wb_positions.size:
-                frozen.n_bits[wb_positions] = self._wb_values(
-                    p.shape, wb_widths[pos:pos + len(p.aff)]
-                )
-            sink.extend_batch(frozen)
+            sink.fence()
+            # one fenced segment per chunk; its last group programs only
+            # the flipped result cells (differential write), earlier
+            # accumulation groups the full chunk
+            for (chunk_bits, groups), width in zip(
+                p.shape, wb_widths[pos:pos + len(p.aff)]
+            ):
+                last = len(groups) - 1
+                for g, (fanin, ch, loc) in enumerate(groups):
+                    rows, wb = step_rows(
+                        p.rep_op, loc, ch, fanin, chunk_bits, False
+                    )
+                    sink.extend_steps(
+                        rows, wb, (width if g == last else chunk_bits,), False
+                    )
+                sink.fence()
             pos += len(p.aff)
             acct.count_bits(sum(chunk_bits for chunk_bits, _ in p.shape))
             acct.count_step(sum(len(groups) for _, groups in p.shape))
@@ -335,73 +339,3 @@ class RepairEngine:
             self._recompute_memo.clear()
         self._recompute_memo[key] = total
         return total
-
-    # -- program cache -------------------------------------------------------
-
-    def _program(self, rep_op, shape):
-        """(frozen batch, write-back row positions) for one repair shape.
-
-        Shape keys embed everything the command stream depends on --
-        chunk widths *and their sense-step resolution* (so a geometry
-        change, e.g. a different SA mux, can never replay a stale
-        program), localities, channels, group fan-ins.  The frozen
-        batch's ``n_bits`` column is patched with the differential
-        write-back widths before it joins the write's batch.  Hits,
-        misses and builds tally like the to-host programs' (see
-        :meth:`QueryPlanner._compiled`).
-        """
-        planner = self.planner
-        geometry = planner.geometry
-        sig = tuple(
-            (
-                chunk_bits,
-                geometry.sense_steps_for_bits(chunk_bits),
-                tuple((f, ch, loc.value) for f, ch, loc in groups),
-            )
-            for chunk_bits, groups in shape
-        )
-        key = ("repair", rep_op.value, geometry.row_bits, sig)
-        stats = planner.stats
-        if planner.compile_enabled:
-            hit = planner.programs.get(key)
-            if hit is not None:
-                PROGRAM_HITS.add()
-                stats.program_hits += 1
-                return hit
-            PROGRAM_MISSES.add()
-            stats.program_misses += 1
-        batch = CommandBatch()
-        wb_positions: List[int] = []
-        pos = 0
-        executor = planner.executor
-        for chunk_bits, groups in shape:
-            for fanin, ch, loc in groups:
-                rows, wb_index = executor._step_rows(
-                    rep_op, loc, ch, fanin, chunk_bits, False
-                )
-                if wb_index is not None:
-                    wb_positions.append(pos + wb_index)
-                batch.extend_rows(rows)
-                pos += len(rows)
-            batch.fence()
-        program = (freeze_batch(batch), np.asarray(wb_positions, dtype=np.intp))
-        if planner.compile_enabled:
-            COMPILATIONS.add()
-            stats.compilations += 1
-            planner.programs.put(key, program)
-        return program
-
-    @staticmethod
-    def _wb_values(shape, wb_widths) -> np.ndarray:
-        """Write-back widths per write-back row, in emission order: the
-        final step of a chunk programs only the flipped result cells
-        (differential write); intermediate accumulation steps program
-        the full chunk."""
-        values: List[int] = []
-        for (chunk_bits, groups), width in zip(shape, wb_widths):
-            n_wb = sum(1 for _f, _ch, _loc in groups)
-            if n_wb == 0:
-                continue
-            values.extend([chunk_bits] * (n_wb - 1))
-            values.append(int(width))
-        return np.asarray(values, dtype=np.float64)

@@ -84,6 +84,12 @@ def _driver_tally(rt, before):
     )
 
 
+def _wave_tally(stats):
+    """The planner tallies both compile arms must agree on."""
+    return (stats.cache_hits, stats.cse_hits, stats.waves,
+            stats.hazard_flushes)
+
+
 def _rel_close(a: float, b: float, rtol: float = RTOL) -> bool:
     return abs(a - b) <= rtol * max(abs(a), abs(b), 1.0)
 
@@ -171,10 +177,10 @@ class TestCompiledVsInterpretedOps:
     def test_served_destination_read_by_later_exec_request(self):
         """The analytics shape compare -> AND -> INV: a cache-served
         destination is read by a later exec-bound request of the same
-        ``pim_op_many``.  Once the resident store is warm the compiled
-        planner must still order that serve inside the wave exactly as
-        the interpreter does -- same hazard flushes, same mode switches,
-        same per-request cost."""
+        ``pim_op_many``.  The compiled planner must order that serve
+        inside the wave exactly as the interpreter does -- same serves,
+        waves and hazard flushes, same mode switches, same per-request
+        cost."""
 
         def run(compile_):
             rt = _runtime(compile_=compile_)
@@ -196,18 +202,18 @@ class TestCompiledVsInterpretedOps:
 
         rt_c, res_c = run(True)
         rt_i, res_i = run(False)
-        assert rt_c.plan_stats.serve_replays >= 1
-        assert rt_c.plan_stats.hazard_flushes == rt_i.plan_stats.hazard_flushes
+        assert _wave_tally(rt_c.plan_stats) == _wave_tally(rt_i.plan_stats)
         assert rt_c.driver.stats.mode_switches == rt_i.driver.stats.mode_switches
         for rc, ri in zip(res_c, res_i):
             assert _rel_close(rc.latency, ri.latency)
             assert _rel_close(rc.energy, ri.energy)
 
-    def test_replayed_run_resolves_chains_inside_the_run(self):
+    def test_cached_chain_resolves_via_wave_bindings(self):
         """A recurring all-cached chain (each request reads the previous
-        one's destination) replays as one run: the wave's pending
-        bindings give each reader its producer's expression key, so the
-        run matches numpy bits and the interpreter's tallies and cost."""
+        one's destination) is served whole: the wave's pending bindings
+        give each reader its producer's expression key, so every link
+        hits the cache, and the chain matches numpy bits and the
+        interpreter's tallies and cost."""
 
         def run(compile_):
             rt = _runtime(compile_=compile_)
@@ -228,15 +234,48 @@ class TestCompiledVsInterpretedOps:
 
         stats_c, res_c = run(True)
         stats_i, res_i = run(False)
-        # pass one executes, pass two serves (and records), passes three
-        # and four each replay all four requests as one run -- a chain
-        # link resolved without the wave would split it in two
-        assert stats_c.serve_replays == 2
+        # pass one executes, passes two to four serve all four requests
+        # -- a chain link resolved without the wave would miss
         assert stats_c.cache_hits == stats_i.cache_hits == 12
-        assert stats_c.waves == stats_i.waves
+        assert _wave_tally(stats_c) == _wave_tally(stats_i)
         for rc, ri in zip(res_c, res_i):
             assert _rel_close(rc.latency, ri.latency)
             assert _rel_close(rc.energy, ri.energy)
+
+    def test_aliased_request_skips_cached_expression(self):
+        """``or a <- [a, b]`` while ``or(a, b)`` is cached: aliasing is
+        checked before any lookup, so the request executes through the
+        driver instead of being served, tallies no cache hit or miss,
+        and is never inserted (its key embeds pre-write versions)."""
+
+        def run(compile_):
+            rt = _runtime(compile_=compile_)
+            (a, b, _), (ba, bb, _) = _loaded(rt)
+            rt.pim_op("or", rt.pim_malloc(N), [a, b])  # caches or(a, b)
+            stats, cache = rt.plan_stats, rt.planner.cache
+            assert len(cache) == 1
+
+            def tallies():
+                return (stats.cache_hits, stats.cache_misses, stats.cse_hits,
+                        cache.hits, cache.misses)
+
+            before = tallies()
+            requests = rt.driver.stats.requests
+            result = rt.pim_op("or", a, [a, b])
+            assert rt.driver.stats.requests == requests + 1  # executed
+            assert tallies() == before
+            # the write to a dropped or(a, b); nothing took its place
+            assert len(cache) == 0
+            assert np.array_equal(rt.pim_read(a), ba | bb)
+            return result, rt.pim_accounting
+
+        res_c, acct_c = run(True)
+        res_i, acct_i = run(False)
+        assert res_c.steps == res_i.steps > 0
+        assert _rel_close(res_c.latency, res_i.latency)
+        assert _rel_close(res_c.energy, res_i.energy)
+        assert _rel_close(acct_c.latency, acct_i.latency)
+        assert _rel_close(acct_c.energy, acct_i.energy)
 
     def test_to_host_parity(self):
         rt_c = _runtime(compile_=True)
@@ -348,7 +387,7 @@ class TestCompiledVsInterpretedFastBit:
 
         db_c = build(True)
         db_i = build(False)
-        # three passes: execute, record, steady-state replay
+        # three passes: execute, then serve from the sub-result cache
         for _ in range(3):
             res_c = db_c.query_many(list(stream))
             res_i = db_i.query_many(list(stream))
@@ -363,12 +402,11 @@ class TestCompiledVsInterpretedFastBit:
         assert _rel_close(
             sum(r.energy for r in res_c), sum(r.energy for r in res_i)
         )
-        # steady state must actually run compiled: whole cache-served
-        # runs replayed without re-planning
+        # steady state must actually run compiled, and both arms must
+        # plan the same serves, waves and hazard flushes
         stats = db_c.runtime.plan_stats
         assert stats.compilations >= 1
-        assert stats.serve_replays >= 1
-        assert db_i.runtime.plan_stats.serve_replays == 0
+        assert _wave_tally(stats) == _wave_tally(db_i.runtime.plan_stats)
 
 
 class TestRecompilationAfterWrite:
@@ -392,12 +430,9 @@ class TestRecompilationAfterWrite:
                 return rt.pim_read(d1), rt.pim_read(d2)
 
             issue()  # executes, fills the sub-result cache
-            issue()  # serves; compiler records the served-run shapes
-            issue()  # replays the served run
-            replays = rt.plan_stats.serve_replays
+            issue()  # serves
+            issue()
             programs = len(rt.planner.programs)
-            if compile_:
-                assert replays >= 1
 
             rng = np.random.default_rng(17)
             for _ in range(3):
@@ -409,17 +444,18 @@ class TestRecompilationAfterWrite:
                 r1, r2 = issue()  # repopulated cache serves again
                 assert np.array_equal(r1, ba | new_b)
                 assert np.array_equal(r2, new_b & bc)
-            # the stale served runs were never replayed against old
-            # contents (the post-write passes re-executed, then re-served)
-            assert rt.plan_stats.serve_replays >= replays
             # no unbounded program growth across invalidation cycles
             assert len(rt.planner.programs) <= programs + 2
-            return results, _driver_tally(rt, before)
+            return (
+                results, _driver_tally(rt, before), _wave_tally(rt.plan_stats)
+            )
 
-        res_c, tally_c = run(True)
-        res_i, tally_i = run(False)
-        # every exec wave took the same driver flush in both arms
+        res_c, tally_c, waves_c = run(True)
+        res_i, tally_i, waves_i = run(False)
+        # every exec wave took the same driver flush in both arms, and
+        # the post-write passes re-executed, then re-served, in both
         assert tally_c == tally_i
+        assert waves_c == waves_i
         assert len(res_c) == len(res_i)
         for rc, ri in zip(res_c, res_i):
             assert rc.steps == ri.steps
@@ -459,7 +495,6 @@ class TestEscapeHatch:
         stats = rt.plan_stats
         assert stats.compilations == 0
         assert stats.program_hits == 0
-        assert stats.serve_replays == 0
         assert len(rt.planner.programs) == 0
 
     def test_compile_on_by_default(self):
