@@ -23,8 +23,8 @@ identical systems:
 
 All arms must answer every query identically (counts, sums, per-bin
 histograms); the planner arms must price identically (simulated cost
-is an execution-strategy invariant).  Every arm's wall time is the
-best per-pass time of :func:`bench_io.min_of_k` windows.  The headline claims, guarded by
+is an execution-strategy invariant).  Every arm's host time is the
+best per-pass CPU time of :func:`bench_io.min_of_k` windows.  The headline claims, guarded by
 ``check_bench_regression.py``, are that the compiled path clears **5x
 the uncompiled interpreter's wall throughput** and the analytics
 programs clear **3x the compiled arm** on top of that.  Results land
@@ -143,7 +143,7 @@ def _run_arm(data, stream, plan: bool, compile_: bool, warm: bool,
     Warming runs the stream twice unmeasured (cache fill, then program
     recording) so the measured passes are genuine steady state.  The
     next pass's results are returned (the uncached arm's first, cold
-    pass); the wall time is :func:`min_of_k` over further passes.
+    pass); the host time is :func:`min_of_k` (CPU time) over further passes.
     """
     table = _build_table(data, plan=plan, compile_=compile_, analytics=analytics)
     if warm:

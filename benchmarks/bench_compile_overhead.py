@@ -11,8 +11,8 @@ later call.  This benchmark measures both sides:
   (``PlanStats.compile_seconds``) plus the slowdown of the recording
   pass relative to the interpreted planner's equivalent pass;
 - *steady-state saving*: interpreted minus compiled per-pass wall once
-  both arms serve everything from cache, each the best per-pass time of
-  :func:`bench_io.min_of_k` windows.
+  both arms serve everything from cache, each the best per-pass CPU time
+  of :func:`bench_io.min_of_k` windows.
 
 ``break_even_passes`` is how many steady-state stream passes repay the
 total warm-up overhead; fractional values below 1 mean the compiler

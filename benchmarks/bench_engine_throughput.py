@@ -13,7 +13,7 @@ e2e ``cold_wide`` workload: 2-16 operands of 4-row vectors, every chunk
 intra-subarray, so on PCM (one-step AND/XOR limit 2) each op runs
 ``n - 1`` pairwise accumulation passes per chunk.  Its bits are checked
 against numpy and its pricing (1e-12 relative) against the serial
-combine-step reference.  Both arms' rates are the best per-pass time
+combine-step reference.  Both arms' rates are the best per-pass CPU time
 of :func:`bench_io.min_of_k` windows of at least 50 ms each, timed
 after the checked pass.
 

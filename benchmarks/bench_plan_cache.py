@@ -20,7 +20,7 @@ The planner arms are warmed with two unmeasured passes of the stream
 (pass one populates the sub-result cache, pass two records the to-host
 programs and builds the serve templates), then measured in steady
 state.  Every arm's
-wall time is the best per-pass time of :func:`bench_io.min_of_k`
+host time is the best per-pass CPU time of :func:`bench_io.min_of_k`
 windows.  All three runs
 must answer byte-identically; the planner arms must price identically
 (simulated latency/energy within 1e-9 relative -- the compiled path is

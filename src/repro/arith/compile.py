@@ -50,14 +50,16 @@ replay, or else interpret the caller's evaluation on its scratch pool
 steady, and drain the pool.
 
 Telemetry lands under ``plan.analytics.*``; per-compiler tallies are
-on :class:`AnalyticsStats` (surfaced in BENCH_arith.json).
+on :class:`AnalyticsStats` (surfaced in BENCH_arith.json).  Every
+interpreted call counts one cause under ``plan.analytics.fallback.*``
+(:data:`FALLBACK_CAUSES`), so the causes sum to the fallbacks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +73,7 @@ __all__ = [
     "AnalyticsProgram",
     "AnalyticsRun",
     "AnalyticsStats",
+    "FALLBACK_CAUSES",
     "analytics_program_key",
 ]
 
@@ -79,6 +82,20 @@ _COMPILES = telemetry.counter("plan.analytics.compiles")
 _REPLAYS = telemetry.counter("plan.analytics.replays")
 _FALLBACKS = telemetry.counter("plan.analytics.fallbacks")
 _INVALIDATIONS = telemetry.counter("plan.analytics.invalidations")
+
+#: why an analyze call interpreted instead of replaying a record; every
+#: fallback counts exactly one cause
+FALLBACK_CAUSES = (
+    "new_shape",  # first call of the query shape
+    "new_constants",  # shape known, these constants never seen
+    "entry_mode",  # constants seen, but under another entry mode
+    "second_sighting",  # seen before, no record yet (not steady so far)
+    "invalidated",  # a stamped frame changed: the records were dropped
+)
+_FALLBACK_CAUSE_COUNTERS = {
+    cause: telemetry.counter(f"plan.analytics.fallback.{cause}")
+    for cause in FALLBACK_CAUSES
+}
 
 #: shapes kept per compiler (LRU)
 _MAX_PROGRAMS = 1024
@@ -145,6 +162,11 @@ class AnalyticsStats:
     replays: int = 0
     fallbacks: int = 0
     invalidations: int = 0
+    #: cause -> fallbacks (see :data:`FALLBACK_CAUSES`); sums to
+    #: ``fallbacks``
+    fallback_causes: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(FALLBACK_CAUSES, 0)
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -152,6 +174,7 @@ class AnalyticsStats:
             "compiles": self.compiles,
             "replays": self.replays,
             "fallbacks": self.fallbacks,
+            "fallback_causes": dict(self.fallback_causes),
             "invalidations": self.invalidations,
         }
 
@@ -246,14 +269,14 @@ class AnalyticsCompiler:
         program = None
         if self.enabled:
             key, constants = analytics_program_key(filters, aggregate, scope)
-            rec = self.replay(key, constants)
+            rec, cause = self.replay(key, constants)
             if rec is not None:
                 if rec.packed_bits is None:
                     return rec.run
                 return rec.run._replace(
                     bits=np.unpackbits(rec.packed_bits, count=rec.n_bits)
                 )
-            program, entry, before = self.observe(key, constants)
+            program, entry, before = self.observe(key, constants, cause)
         pool, evaluate, leaves_fn = prepare()
         if program is not None and program.scratch_high_water:
             pool.preallocate(program.scratch_high_water)
@@ -281,8 +304,10 @@ class AnalyticsCompiler:
             runtime.driver.stats.instructions - instr0,
         )
 
-    def replay(self, key, constants) -> Optional[_Record]:
-        """Serve one analyze from its program's record, or return ``None``.
+    def replay(self, key, constants) -> Tuple[Optional[_Record], Optional[str]]:
+        """Serve one analyze from its program's record: ``(record,
+        None)``, or ``(None, cause)`` with the
+        :data:`FALLBACK_CAUSES` entry saying why it cannot.
 
         On a hit the recorded accounting is already applied: the driver
         and host accounting advance by exactly what the steady
@@ -292,19 +317,26 @@ class AnalyticsCompiler:
         """
         program = self.programs.get(key)
         if program is None:
-            return None
+            return None, "new_shape"
         entry = (constants, self.executor._current_mode)
-        rec = program.records.get(entry)
-        if rec is None or rec is SEEN_ONCE or not self._valid(program):
-            return None
-        program.records.move_to_end(entry)
+        records = program.records
+        rec = records.get(entry)
+        if rec is None:
+            seen = any(other == constants for other, _mode in records)
+            return None, "entry_mode" if seen else "new_constants"
+        if rec is SEEN_ONCE:
+            return None, "second_sighting"
+        if not self._valid(program):
+            return None, "invalidated"
+        records.move_to_end(entry)
         self._apply(rec)
         self.stats.replays += 1
         _REPLAYS.add()
-        return rec
+        return rec, None
 
-    def observe(self, key, constants):
-        """Pre-run hook of an interpreted run.
+    def observe(self, key, constants, cause: str):
+        """Pre-run hook of an interpreted run; ``cause`` is why it
+        interprets (from :meth:`replay`).
 
         Creates the program shell on first sight of a shape and marks
         the ``(constants, entry mode)`` sighting ``SEEN_ONCE`` in the
@@ -314,6 +346,8 @@ class AnalyticsCompiler:
         """
         self.stats.fallbacks += 1
         _FALLBACKS.add()
+        self.stats.fallback_causes[cause] += 1
+        _FALLBACK_CAUSE_COUNTERS[cause].add()
         program = self.programs.get(key)
         if program is None:
             program = AnalyticsProgram(key)

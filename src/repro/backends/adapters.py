@@ -244,9 +244,14 @@ class PinatuboBackend(BulkBitwiseBackend):
             staged.append((op, dest, sources, n_bits))
         results = rt.driver.flush()
 
+        read_back = rt.pim_read_many(
+            [dest for _op, dest, _sources, _n in staged],
+            [n_bits for _op, _dest, _sources, n_bits in staged],
+        )
         runs = []
-        for (op, dest, sources, n_bits), result in zip(staged, results):
-            bits = rt.pim_read(dest, n_bits)
+        for (op, dest, sources, n_bits), result, bits in zip(
+            staged, results, read_back
+        ):
             acct = result.accounting
             stats = RunStats(
                 backend=self.name,

@@ -69,7 +69,9 @@ from repro.memsim.controller import (
     KIND_CODES as _CODE,
     CommandBatch,
     CommandKind,
+    FrozenBatch,
     MemoryController,
+    row_io_template,
 )
 from repro.memsim.geometry import DEFAULT_GEOMETRY, MemoryGeometry
 from repro.memsim.mainmem import MainMemory
@@ -80,6 +82,10 @@ from repro.nvm.technology import NVMTechnology, get_technology
 class PlacementError(RuntimeError):
     """Operands placed so the operation cannot execute in memory."""
 
+
+#: row I/O templates kept per executor before the cache is dropped
+#: (keys are (shape, n_bits, per-row channels); the set is open-ended)
+_MAX_ROW_TEMPLATES = 4096
 
 #: MR4 mode codes per PIM operation (paper Fig. 4 hardware control).
 MODE_CODES = {PimOp.OR: 0b001, PimOp.AND: 0b010, PimOp.XOR: 0b011, PimOp.INV: 0b100}
@@ -131,6 +137,8 @@ class PinatuboExecutor:
         self._current_mode: Optional[PimOp] = None
         #: combine-step command templates, see :meth:`_step_rows`
         self._step_templates: Dict[tuple, tuple] = {}
+        #: host row-transfer templates, see :meth:`_row_template`
+        self._row_templates: Dict[tuple, FrozenBatch] = {}
         #: when set (a list), every bulk op appends its finished command
         #: batch as a ``(flavor, batch)`` tuple so the kernel
         #: compiler (:mod:`repro.plan.compile`) can freeze them
@@ -139,61 +147,89 @@ class PinatuboExecutor:
     # -- host-side data movement ------------------------------------------------
 
     def write_vector(self, frames: Sequence[int], bits: np.ndarray) -> OpAccounting:
-        """Host write of a bit-vector into its row frames (over the bus)."""
+        """Host write of a bit-vector into its row frames (over the bus).
+
+        Each row lands through its own :meth:`MainMemory.write_bits`
+        (one write event per row); the transfer is priced from the
+        ``"write"`` row I/O template after the rows land.
+        """
         bits = np.asarray(bits, dtype=np.uint8)
-        g = self.geometry
-        if bits.size > len(frames) * g.row_bits:
+        row_bits = self.geometry.row_bits
+        n_bits = bits.size
+        if n_bits > len(frames) * row_bits:
             raise ValueError("frames do not cover n_bits")
         acct = OpAccounting()
-        batch = CommandBatch()
-        for i, frame in enumerate(frames):
-            chunk = bits[i * g.row_bits : (i + 1) * g.row_bits]
-            if chunk.size == 0:
-                break
-            self.memory.write_bits(frame, chunk)
-            ch = self.mapper.channel_of(frame)
-            n_bytes = -(-chunk.size // 8)
-            batch.add(CommandKind.ACT, channel=ch, n_bits=chunk.size)
-            batch.add(CommandKind.WR, channel=ch, n_bits=chunk.size,
-                      transfer_bytes=n_bytes)
-            batch.add(CommandKind.PRE, channel=ch)
-            batch.fence()  # frames serialise
-        if len(batch):
-            acct.absorb(self.controller.execute_batch(batch))
+        if n_bits == 0:
+            return acct
+        used = frames[: -(-n_bits // row_bits)]
+        template = self._row_template("write", n_bits, used)
+        write_bits = self.memory.write_bits
+        for i, frame in enumerate(used):
+            write_bits(frame, bits[i * row_bits : (i + 1) * row_bits])
+        acct.absorb(self.controller.execute_batch(template))
         return acct
 
     def read_vector(
         self, frames: Sequence[int], n_bits: int
     ) -> Tuple[np.ndarray, OpAccounting]:
         """Host read of a bit-vector; returns (bits, accounting)."""
-        if n_bits < 1:
-            raise ValueError("n_bits must be positive")
-        acct = OpAccounting()
-        g = self.geometry
-        parts = []
-        remaining = n_bits
-        batch = CommandBatch()
-        for frame in frames:
-            take = min(remaining, g.row_bits)
-            parts.append(self.memory.read_bits(frame, take))
-            ch = self.mapper.channel_of(frame)
-            steps = g.sense_steps_for_bits(take)
-            n_bytes = -(-take // 8)
-            batch.add(CommandKind.ACT, channel=ch, n_bits=take)
-            batch.add(CommandKind.PIM_SENSE, channel=ch,
-                      n_steps=steps, n_bits=take)
-            batch.add(CommandKind.RD, channel=ch, n_bits=take,
-                      transfer_bytes=n_bytes)
-            batch.add(CommandKind.PRE, channel=ch)
-            batch.fence()
-            remaining -= take
-            if remaining <= 0:
-                break
-        if remaining > 0:
-            raise ValueError("frames do not cover n_bits")
-        if len(batch):
-            acct.absorb(self.controller.execute_batch(batch))
-        return np.concatenate(parts), acct
+        return self.read_vectors((frames,), (n_bits,))[0]
+
+    def read_vectors(
+        self, frame_lists: Sequence[Sequence[int]], n_bits_list: Sequence[int]
+    ) -> List[Tuple[np.ndarray, OpAccounting]]:
+        """Host reads of many bit-vectors: ``[(bits, accounting)]`` in
+        request order.
+
+        Every request is validated before anything is read or priced.
+        All rows come back in one :meth:`MainMemory.gather_rows`, and
+        each request is priced on its own from its ``"read"`` row I/O
+        template, in request order, so each accounting (and the bus
+        ledgers) equals a lone :meth:`read_vector` of it.
+        """
+        if len(frame_lists) != len(n_bits_list):
+            raise ValueError("one n_bits per frame list")
+        row_bits = self.geometry.row_bits
+        frames_all: List[int] = []
+        templates = []
+        for frames, n_bits in zip(frame_lists, n_bits_list):
+            if n_bits < 1:
+                raise ValueError("n_bits must be positive")
+            n_rows = -(-n_bits // row_bits)
+            if len(frames) < n_rows:
+                raise ValueError("frames do not cover n_bits")
+            used = frames[:n_rows]
+            templates.append(self._row_template("read", n_bits, used))
+            frames_all.extend(used)
+        flat = np.unpackbits(
+            self.memory.gather_rows(frames_all), axis=None, bitorder="little"
+        )
+        price = self.controller.execute_batch
+        out = []
+        start = 0
+        for n_bits, template in zip(n_bits_list, templates):
+            acct = OpAccounting()
+            acct.absorb(price(template))
+            out.append((flat[start : start + n_bits], acct))
+            start += template.n_segments * row_bits
+        return out
+
+    def _row_template(
+        self, shape: str, n_bits: int, frames: Sequence[int]
+    ) -> FrozenBatch:
+        """The memo-priced row I/O template of a transfer of ``n_bits``
+        bits over ``frames`` (exactly the rows it uses), cached per
+        ``(shape, n_bits, per-row channels)``; raises on a frame out of
+        range."""
+        key = (shape, n_bits, tuple(map(self.mapper.channel_of, frames)))
+        template = self._row_templates.get(key)
+        if template is None:
+            if len(self._row_templates) >= _MAX_ROW_TEMPLATES:
+                self._row_templates.clear()
+            template = self._row_templates[key] = row_io_template(
+                self.geometry, shape, n_bits, key[2]
+            )
+        return template
 
     # -- PIM operations -----------------------------------------------------------
 

@@ -448,26 +448,6 @@ class CommandBatch:
             self.segments.extend([seg] * (width * copies))
             self._open = True
 
-    def extend_batch(self, other) -> None:
-        """Append a fenced batch with numpy columns (a frozen program)
-        as segments of its own.
-
-        Fences first and offsets ``other``'s segment ids past this
-        batch's, so each appended segment serialises exactly as it
-        would in a separate :meth:`MemoryController.execute_batch`.
-        """
-        if not len(other):
-            return
-        self.fence()
-        base = self._segment
-        self.kinds.extend(other.kinds.tolist())
-        self.channels.extend(other.channels.tolist())
-        self.n_bits.extend(other.n_bits.tolist())
-        self.n_steps.extend(other.n_steps.tolist())
-        self.transfer_bytes.extend(other.transfer_bytes.tolist())
-        self.segments.extend((other.segments + base).tolist())
-        self._segment = base + other.n_segments
-
     def fence(self) -> None:
         """Close the current segment (a serialisation barrier)."""
         if self._open:
@@ -479,6 +459,119 @@ class CommandBatch:
         self.fence()
         self.op_starts.append(len(self.kinds))
         self.op_segment_starts.append(self._segment)
+
+
+class FrozenBatch:
+    """A command batch's columns as preallocated numpy arrays.
+
+    Duck-types exactly the surface :meth:`MemoryController.execute_batch`
+    reads (column sequences, ``op_starts``/``op_segment_starts``,
+    ``n_segments``, ``__len__``), so it prices through the real
+    controller with zero list-to-array conversion cost.  The columns
+    never change, so every frozen batch opts into the controller's
+    memoized pricing (``price_memo_ok``).
+    """
+
+    __slots__ = (
+        "kinds", "channels", "n_bits", "n_steps", "transfer_bytes",
+        "segments", "op_starts", "op_segment_starts", "n_segments",
+        "price_memo", "price_memo_ok",
+    )
+
+    def __init__(self, cols, op_starts, op_segment_starts, n_segments):
+        (self.kinds, self.channels, self.n_bits, self.n_steps,
+         self.transfer_bytes, self.segments) = cols
+        self.op_starts = op_starts
+        self.op_segment_starts = op_segment_starts
+        self.n_segments = n_segments
+        self.price_memo = None
+        self.price_memo_ok = True
+
+    def __len__(self) -> int:
+        return self.kinds.size
+
+
+def freeze_batch(batch: CommandBatch) -> FrozenBatch:
+    """Snapshot a :class:`CommandBatch`'s columns into a frozen batch."""
+    return FrozenBatch(
+        (
+            np.asarray(batch.kinds, dtype=np.intp),
+            np.asarray(batch.channels, dtype=np.intp),
+            np.asarray(batch.n_bits, dtype=np.float64),
+            np.asarray(batch.n_steps, dtype=np.float64),
+            np.asarray(batch.transfer_bytes, dtype=np.float64),
+            np.asarray(batch.segments, dtype=np.intp),
+        ),
+        np.asarray(batch.op_starts, dtype=np.intp),
+        np.asarray(batch.op_segment_starts, dtype=np.intp),
+        batch.n_segments,
+    )
+
+
+#: per-row command sequence of each host row-transfer shape: a served
+#: cache result's row-buffer read, a host read over the I/O bus, and a
+#: host write from it
+ROW_IO_SHAPES: Dict[str, Tuple[CommandKind, ...]] = {
+    "serve": (CommandKind.ACT, CommandKind.PIM_SENSE, CommandKind.PRE),
+    "read": (CommandKind.ACT, CommandKind.PIM_SENSE, CommandKind.RD, CommandKind.PRE),
+    "write": (CommandKind.ACT, CommandKind.WR, CommandKind.PRE),
+}
+
+
+def row_io_template(
+    geometry: MemoryGeometry, shape: str, n_bits: int, channels: Sequence[int]
+) -> FrozenBatch:
+    """The frozen batch of one host row transfer of ``n_bits`` bits over
+    rows on ``channels`` (one entry per row, ``rows_for_bits(n_bits)``
+    of them).
+
+    One marked operation, one fenced segment per row: the row's
+    ``ROW_IO_SHAPES[shape]`` commands on its channel.  ACT, PIM_SENSE,
+    RD and WR carry the row's used width (PIM_SENSE also its sense
+    steps, RD/WR its bytes over the bus); PRE carries nothing.  Its
+    price is a pure function of ``(shape, n_bits, channels)``, so one
+    template memo-prices every transfer of that shape.
+    """
+    kinds = ROW_IO_SHAPES[shape]
+    channels = np.asarray(channels, dtype=np.intp)
+    n_rows = channels.size
+    if n_rows != geometry.rows_for_bits(n_bits):
+        raise ValueError(f"{n_bits} bits need {geometry.rows_for_bits(n_bits)} rows")
+    row_bits = geometry.row_bits
+    bits = np.minimum(n_bits - np.arange(n_rows) * row_bits, row_bits)
+    steps = [geometry.sense_steps_for_bits(int(b)) for b in bits]
+    n_bytes = -(-bits // 8)
+    zeros = np.zeros(n_rows, dtype=np.int64)
+    ones = np.ones(n_rows, dtype=np.int64)
+    per_kind = {
+        CommandKind.ACT: (bits, ones, zeros),
+        CommandKind.PIM_SENSE: (bits, steps, zeros),
+        CommandKind.RD: (bits, ones, n_bytes),
+        CommandKind.WR: (bits, ones, n_bytes),
+        CommandKind.PRE: (zeros, ones, zeros),
+    }
+
+    def column(field: int) -> np.ndarray:
+        # row-major: row r's commands, in shape order, then row r + 1's
+        return np.stack(
+            [per_kind[kind][field] for kind in kinds], axis=1
+        ).reshape(-1).astype(np.float64)
+
+    width = len(kinds)
+    zero = np.zeros(1, dtype=np.intp)
+    return FrozenBatch(
+        (
+            np.tile(np.array([KIND_CODES[k] for k in kinds], dtype=np.intp), n_rows),
+            np.repeat(channels, width),
+            column(0),
+            column(1),
+            column(2),
+            np.repeat(np.arange(n_rows, dtype=np.intp), width),
+        ),
+        zero,
+        zero,
+        n_rows,
+    )
 
 
 class MemoryController:
@@ -579,8 +672,9 @@ class MemoryController:
         where ``per_op[i]`` is the :class:`ExecutionStats` of the i-th
         marked operation alone.
 
-        Batches whose columns never change (the kernel compiler's frozen
-        serve/to-host batches) set ``price_memo_ok``: pricing is a pure
+        Batches whose columns never change (every :class:`FrozenBatch`:
+        the row I/O templates and the to-host programs) set
+        ``price_memo_ok``: pricing is a pure
         function of the columns, so the first execution caches its stats
         and per-channel bus-ledger deltas on the batch, and every later
         execution replays them -- byte-identical accounting (the exact

@@ -17,8 +17,10 @@ canonical key while its Python-side cost is per call:
   construction -- while the functional result is one row-parallel
   ``bitwise_rows`` pass;
 - :class:`ServeTemplate`: a served cache result's row-buffer read for
-  one ``(n_bits, per-chunk channels)`` shape, built directly (no
-  recording) with a memo-priced frozen batch and a shared result.
+  one ``(n_bits, per-chunk channels)`` shape: the controller's
+  ``"serve"`` row I/O template
+  (:func:`~repro.memsim.controller.row_io_template`, no recording) and
+  a shared result per op.
 
 Programs are keyed by canonical shape (see :func:`to_host_shape_key`)
 and are **frame-agnostic**: operands resolve to the call's actual row
@@ -41,14 +43,13 @@ from repro import telemetry
 from repro.core.executor import MODE_CODES, OpResult
 from repro.core.ops import PimOp
 from repro.core.stats import OpAccounting
-from repro.memsim.controller import CommandKind, KIND_CODES
+from repro.memsim.controller import FrozenBatch, freeze_batch
 
 __all__ = [
     "SEEN_ONCE",
     "UNCOMPILABLE",
     "ServeTemplate",
     "ToHostProgram",
-    "build_serve_template",
     "build_to_host_program",
     "to_host_shape_key",
 ]
@@ -58,10 +59,6 @@ PROGRAM_MISSES = telemetry.counter("plan.compile.program_misses")
 COMPILATIONS = telemetry.counter("plan.compile.compilations")
 UNCOMPILABLE_SHAPES = telemetry.counter("plan.compile.uncompilable")
 COMPILE_SECONDS = telemetry.accumulator("plan.compile.seconds")
-
-_K_ACT = KIND_CODES[CommandKind.ACT]
-_K_SENSE = KIND_CODES[CommandKind.PIM_SENSE]
-_K_PRE = KIND_CODES[CommandKind.PRE]
 
 
 class _Sentinel:
@@ -79,53 +76,6 @@ class _Sentinel:
 SEEN_ONCE = _Sentinel("seen-once")
 #: program-cache marker: shape needs interpreted semantics forever
 UNCOMPILABLE = _Sentinel("uncompilable")
-
-
-class _FrozenBatch:
-    """A recorded command batch's columns as preallocated numpy arrays.
-
-    Duck-types exactly the surface ``MemoryController.execute_batch``
-    reads (column sequences, ``op_starts``/``op_segment_starts``,
-    ``n_segments``, ``__len__``), so replay prices through the real
-    controller with zero list-to-array conversion cost.  The columns
-    never change, so every frozen batch opts into the controller's
-    memoized pricing (``price_memo_ok``).
-    """
-
-    __slots__ = (
-        "kinds", "channels", "n_bits", "n_steps", "transfer_bytes",
-        "segments", "op_starts", "op_segment_starts", "n_segments",
-        "price_memo", "price_memo_ok",
-    )
-
-    def __init__(self, cols, op_starts, op_segment_starts, n_segments):
-        (self.kinds, self.channels, self.n_bits, self.n_steps,
-         self.transfer_bytes, self.segments) = cols
-        self.op_starts = op_starts
-        self.op_segment_starts = op_segment_starts
-        self.n_segments = n_segments
-        self.price_memo = None
-        self.price_memo_ok = True
-
-    def __len__(self) -> int:
-        return self.kinds.size
-
-
-def freeze_batch(batch) -> _FrozenBatch:
-    """Snapshot a :class:`CommandBatch`'s columns into a frozen batch."""
-    return _FrozenBatch(
-        (
-            np.asarray(batch.kinds, dtype=np.intp),
-            np.asarray(batch.channels, dtype=np.intp),
-            np.asarray(batch.n_bits, dtype=np.float64),
-            np.asarray(batch.n_steps, dtype=np.float64),
-            np.asarray(batch.transfer_bytes, dtype=np.float64),
-            np.asarray(batch.segments, dtype=np.intp),
-        ),
-        np.asarray(batch.op_starts, dtype=np.intp),
-        np.asarray(batch.op_segment_starts, dtype=np.intp),
-        batch.n_segments,
-    )
 
 
 # -- shape keys ---------------------------------------------------------------
@@ -176,44 +126,19 @@ class ServeTemplate:
     """One served result's row-buffer read, for a ``(n_bits, per-chunk
     channels)`` shape.
 
-    ``frozen`` is the memo-priced batch, column-for-column what
-    :func:`repro.plan.planner._serve_commands` emits, as one marked
-    operation: per chunk a fenced ACT / PIM_SENSE / PRE on the
-    destination's channel.  Its pricing is a pure function of those
-    columns, so ``results`` keeps, per op, the shared read-only
-    ``OpResult`` every serve of the shape returns.
+    ``frozen`` is the memo-priced ``"serve"`` row I/O template,
+    column-for-column what :func:`repro.plan.planner._serve_commands`
+    emits, as one marked operation: per chunk a fenced ACT / PIM_SENSE
+    / PRE on the destination's channel.  Its pricing is a pure function
+    of those columns, so ``results`` keeps, per op, the shared
+    read-only ``OpResult`` every serve of the shape returns.
     """
 
     __slots__ = ("frozen", "results")
 
-
-def build_serve_template(geometry, n_bits: int, channels: np.ndarray) -> ServeTemplate:
-    """Build the serve template of one ``(n_bits, channels)`` shape."""
-    row_bits = geometry.row_bits
-    n_chunks = int(channels.size)
-    chunk_bits = np.minimum(
-        n_bits - np.arange(n_chunks, dtype=np.int64) * row_bits, row_bits
-    )
-    steps = np.array(
-        [geometry.sense_steps_for_bits(int(b)) for b in chunk_bits],
-        dtype=np.float64,
-    )
-    chunk_bits = chunk_bits.astype(np.float64)
-    zeros = np.zeros(n_chunks)
-    ones = np.ones(n_chunks)
-    cols = (
-        np.tile(np.array([_K_ACT, _K_SENSE, _K_PRE], dtype=np.intp), n_chunks),
-        np.repeat(np.asarray(channels, dtype=np.intp), 3),
-        np.stack([chunk_bits, chunk_bits, zeros], axis=1).reshape(-1),
-        np.stack([ones, steps, ones], axis=1).reshape(-1),
-        np.zeros(3 * n_chunks),
-        np.repeat(np.arange(n_chunks, dtype=np.intp), 3),
-    )
-    zero = np.zeros(1, dtype=np.intp)
-    t = ServeTemplate()
-    t.frozen = _FrozenBatch(cols, zero, zero, n_chunks)
-    t.results = {}
-    return t
+    def __init__(self, frozen: FrozenBatch):
+        self.frozen = frozen
+        self.results = {}
 
 
 # -- to-host programs ---------------------------------------------------------

@@ -64,7 +64,7 @@ from repro import telemetry
 from repro.core.executor import OpResult
 from repro.core.ops import PimOp
 from repro.core.stats import OpAccounting
-from repro.memsim.controller import CommandBatch, CommandKind
+from repro.memsim.controller import CommandBatch, CommandKind, row_io_template
 from repro.plan.cache import ProgramCache, SubResultCache
 from repro.plan.compile import (
     COMPILATIONS,
@@ -73,7 +73,7 @@ from repro.plan.compile import (
     PROGRAM_MISSES,
     UNCOMPILABLE,
     UNCOMPILABLE_SHAPES,
-    build_serve_template,
+    ServeTemplate,
     build_to_host_program,
     to_host_shape_key,
 )
@@ -909,9 +909,11 @@ class QueryPlanner:
             chan = self._channels_bytes(it.dest_frames)
             tmpl = templates.get((n_bits, chan))
             if tmpl is None:
-                tmpl = templates[(n_bits, chan)] = build_serve_template(
-                    self.geometry, n_bits,
-                    self.executor.mapper.channels_of(it.dest_frames),
+                tmpl = templates[(n_bits, chan)] = ServeTemplate(
+                    row_io_template(
+                        self.geometry, "serve", n_bits,
+                        self.executor.mapper.channels_of(it.dest_frames),
+                    )
                 )
             _total, (item_stats,) = execute_batch(tmpl.frozen, split_ops=True)
             result = tmpl.results.get(op)

@@ -12,7 +12,7 @@ is the layer applications (:mod:`repro.apps`) are written against.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -245,11 +245,28 @@ class PimRuntime:
     ) -> np.ndarray:
         """Host read of a vector's contents (pays bus cost)."""
         n_bits = handle.n_bits if n_bits is None else n_bits
-        if n_bits > handle.n_bits:
-            raise ValueError("read longer than the allocated vector")
-        bits, acct = self.system.executor.read_vector(handle.frames, n_bits)
-        self.host_accounting = self.host_accounting.merged(acct)
-        return bits
+        return self.pim_read_many((handle,), (n_bits,))[0]
+
+    def pim_read_many(
+        self, handles: Sequence[BitVectorHandle], n_bits: Sequence[int]
+    ) -> List[np.ndarray]:
+        """Host reads of many vectors' first ``n_bits`` bits, in order.
+
+        Every read is checked before any is made; the rows come back in
+        one gather (:meth:`PinatuboExecutor.read_vectors`), and each
+        read's cost folds into ``host_accounting`` in request order, so
+        the totals equal the same sequence of :meth:`pim_read` calls.
+        """
+        for handle, n in zip(handles, n_bits):
+            if n > handle.n_bits:
+                raise ValueError("read longer than the allocated vector")
+        reads = self.system.executor.read_vectors(
+            [handle.frames for handle in handles], n_bits
+        )
+        self.host_accounting = self.host_accounting.merged_all(
+            acct for _bits, acct in reads
+        )
+        return [bits for bits, _acct in reads]
 
     # -- accounting --------------------------------------------------------------
 

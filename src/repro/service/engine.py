@@ -325,7 +325,8 @@ class ResidentPimEngine(ServiceEngine):
         rt = self.runtime
         out: List[Optional[ExecutedCall]] = [None] * len(calls)
         plain_slots = []
-        staged = []
+        dests = []
+        widths = []
         requests = []
         for i, call in enumerate(calls):
             if call.analytics is not None:
@@ -335,14 +336,17 @@ class ResidentPimEngine(ServiceEngine):
             n_bits = min(h.n_bits for h in sources)
             dest = rt.pim_malloc(n_bits, self.group_of(call.tenant))
             requests.append((call.op, dest, sources, n_bits))
-            staged.append((dest, n_bits))
+            dests.append(dest)
+            widths.append(n_bits)
             plain_slots.append(i)
         # pim_op_many routes through the planner (CSE and cache serves)
         # when the runtime has one, and is plain submit+flush
         # otherwise; results come back in submission order either way
         results = rt.pim_op_many(requests) if requests else []
-        for i, (dest, n_bits), result in zip(plain_slots, staged, results):
-            bits = rt.pim_read(dest, n_bits)
+        # one read-back for every plain result of the dispatch, then
+        # the frees in submission order
+        read_back = rt.pim_read_many(dests, widths)
+        for i, dest, result, bits in zip(plain_slots, dests, results, read_back):
             rt.pim_free(dest)
             out[i] = ExecutedCall(
                 bits=bits,

@@ -146,6 +146,52 @@ class TestReplay:
         table.verify()
 
 
+class TestFallbackCauses:
+    """Every interpreted call records one cause; the causes sum to the
+    fallbacks, in the stats and in the telemetry counters."""
+
+    def _causes(self, table):
+        stats = table.compiler.stats
+        assert sum(stats.fallback_causes.values()) == stats.fallbacks
+        assert stats.to_dict()["fallback_causes"] == stats.fallback_causes
+        return dict(stats.fallback_causes)
+
+    def test_each_cause_counts_once(self):
+        from repro import telemetry
+        from repro.arith.compile import FALLBACK_CAUSES
+
+        counters = {
+            c: telemetry.counter(f"plan.analytics.fallback.{c}") for c in FALLBACK_CAUSES
+        }
+        before = {c: counter.value for c, counter in counters.items()}
+        table, data = loaded_table()
+        stats = table.compiler.stats
+
+        def outcome(k):
+            causes, replays = self._causes(table), stats.replays
+            table.filter(("cmp", "age", "ge", k)).count()
+            moved = [c for c, n in self._causes(table).items() if n != causes[c]]
+            return "replay" if stats.replays > replays else "+".join(moved)
+
+        # the first call's entry mode is the power-on one; every later
+        # call enters in the mode the query leaves behind
+        assert [outcome(10) for _ in range(4)] == [
+            "new_shape", "entry_mode", "second_sighting", "replay"
+        ]
+        assert [outcome(40) for _ in range(3)] == [
+            "new_constants", "second_sighting", "replay"
+        ]
+        plane = table._slices["age"].planes[0]
+        table.runtime.pim_write(plane, np.zeros(N, dtype=np.uint8))
+        table._host["age"] = data["age"] & ~1
+        assert outcome(40) == "invalidated"
+        causes = self._causes(table)
+        assert all(causes.values())
+        for c, counter in counters.items():
+            assert counter.value - before[c] == causes[c], c
+        table.verify()
+
+
 class TestInvalidation:
     def test_write_to_a_leaf_drops_records_and_rerecords(self):
         table, data = loaded_table()
