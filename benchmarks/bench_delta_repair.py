@@ -1,4 +1,4 @@
-"""Delta-repair benchmark: write => repair vs write => invalidate.
+"""Repair-on-read benchmark: write => mark => repair vs write => invalidate.
 
 A mixed read/write stream over a small pool of repeated bulk-bitwise
 queries -- the serving shape PR 6 benchmarked, now with a write stream
@@ -9,15 +9,16 @@ chunk of every multi-chunk cached sub-result reading it.
 
 Three identical planned runtimes play the same stream:
 
-- *invalidate*: ``PimRuntime(plan=True)`` with the planner declining
-  every write delta (``planner.wants_delta`` returns False) -- the PR-6
-  semantics: the write drops every dependent cache entry, the next read
-  of each dirtied query re-executes all of its chunks in memory;
-- *repair (interpreted)*: ``compile=False`` -- the write's
-  delta (``old XOR new``, one row) repairs each dependent entry in
-  place: one 2-operand XOR per dirtied chunk for linear ops, a
-  delta-masked recompute of only the dirtied chunk for AND/OR, priced
-  through the real controller; every following read is a cache hit;
+- *invalidate*: ``PimRuntime(plan=True)`` with the planner's marking
+  hook (``planner.repair.on_delta``) overridden to invalidate -- the
+  PR-6 semantics: the write drops every dependent cache entry, the next
+  read of each dirtied query re-executes all of its chunks in memory;
+- *repair (interpreted)*: ``compile=False`` -- the write marks the
+  dirtied chunk of each dependent entry, and the next read of the entry
+  recomputes only that chunk from the live operand rows before serving
+  it, priced through the real controller and charged to that read;
+  every following read is a cache hit, and writes landing between two
+  reads of an entry are repaired once;
 - *repair (compiled)*: ``compile=True`` -- the same repairs, emitted
   from the same memoized step templates (compilation changes only the
   serve and to-host tiers around them).
@@ -69,9 +70,8 @@ N_EVENTS = 240  # stream length (reads + writes)
 WRITE_RATIO = 0.15  # >= the 10% the acceptance criterion names
 ZIPF_S = 1.1
 #: op mix of the pool, XOR-heavy: wide XORs take the most sense steps
-#: per chunk, which is exactly the work a cached serve (and a delta
-#: repair) avoids re-doing; the or/and entries keep the delta-masked
-#: recompute path honest in the same stream
+#: per chunk, which is exactly the work a cached serve (and a one-chunk
+#: repair) avoids re-doing; the or/and entries ride the same stream
 OPS = ("xor", "xor", "xor", "xor", "or", "and")
 
 
@@ -85,9 +85,7 @@ def _query_pool(rng) -> list:
     """POOL unique (op, operand indices) queries over the base vectors.
 
     Composition is fixed -- ``OPS`` draws in order, sources shuffled by
-    the rng -- so the pool exercises both repair algebras: XOR entries
-    take the one-bulk-XOR linear path, AND/OR the delta-masked
-    recompute.
+    the rng -- so the pool repairs XOR, OR and AND entries alike.
     """
     pool = []
     seen = set()
@@ -156,9 +154,11 @@ def _run_arm(pool, events, repair: bool, compile_: bool) -> dict:
     system = PinatuboSystem(get_technology("pcm"), GEOM)
     rt = PimRuntime(system, plan=True, compile=compile_)
     if not repair:
-        # invalidate arm: no delta is captured, so every write drops
-        # the cached entries that read it
-        rt.planner.wants_delta = lambda frames: False
+        # invalidate arm: every write drops the cached entries that
+        # read it instead of marking them dirty
+        rt.planner.repair.on_delta = (
+            lambda frames: rt.planner.cache.invalidate_frames(frames)
+        )
     data_rng = np.random.default_rng(101)
     handles, mirror = [], []
     for _ in range(N_VECTORS):

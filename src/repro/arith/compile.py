@@ -25,7 +25,8 @@ Honesty rules, in the same spirit as the planner's serve pricing:
   interpreted: its cache misses are real and must be priced (and they
   fill the cache).  The **second sighting** runs interpreted too and is
   recorded only if it was perfectly steady (zero cache misses, zero
-  program compilations, zero host fallbacks during the run); the third
+  program compilations, zero host fallbacks and zero repairs of dirty
+  cached entries during the run); the third
   and later sightings replay the record.
 - A record's accounting delta is exactly what the interpreted steady
   run paid (batch pricing is content-determined, so the delta is
@@ -370,6 +371,7 @@ class AnalyticsCompiler:
                 stats.host_fallbacks,
                 plan.cache_misses,
                 plan.compilations,
+                plan.repairs,
             )
             return program, entry, before
         records[entry] = SEEN_ONCE
@@ -382,12 +384,12 @@ class AnalyticsCompiler:
     ) -> None:
         """Record one interpreted run as ``entry``'s replay, if steady.
 
-        A non-steady run (any cache miss, compilation or host fallback
-        happened) leaves the sighting marked so the next clean run
-        records.
+        A non-steady run (any cache miss, compilation, host fallback or
+        repair of a dirty cached entry happened) leaves the sighting
+        marked so the next clean run records.
         """
         (pim0, host0, requests0, instr0, switches0, fallbacks0, misses0,
-         compilations0) = before
+         compilations0, repairs0) = before
         runtime = self.runtime
         stats = runtime.driver.stats
         plan = self.planner.stats
@@ -395,6 +397,7 @@ class AnalyticsCompiler:
             plan.cache_misses != misses0
             or plan.compilations != compilations0
             or stats.host_fallbacks != fallbacks0
+            or plan.repairs != repairs0
         ):
             return  # not steady state: stay interpreted, retry later
         rec = _Record()

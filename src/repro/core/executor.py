@@ -35,7 +35,7 @@ of ``ufunc.accumulate`` along the operand axis, and one popcount of
 ``prev XOR out`` sizes every step's differential write.  Each chunk's
 steps are emitted as tiled copies of the cached step template, and
 the op's programs land with one ``write_frames`` call -- one write
-event per op, with the net delta.  The to-host emission shares the
+event per op.  The to-host emission shares the
 pass (its final step reads out instead of writing back).  The serial
 per-step loop (:meth:`PinatuboExecutor._chunk_bitwise`) is kept as the
 reference and runs only when an alias would make the step order
@@ -149,9 +149,11 @@ class PinatuboExecutor:
     def write_vector(self, frames: Sequence[int], bits: np.ndarray) -> OpAccounting:
         """Host write of a bit-vector into its row frames (over the bus).
 
-        Each row lands through its own :meth:`MainMemory.write_bits`
-        (one write event per row); the transfer is priced from the
-        ``"write"`` row I/O template after the rows land.
+        Every row lands in one :meth:`MainMemory.write_frames` call
+        (one write event; the last row is zero-padded past ``n_bits``,
+        as :meth:`MainMemory.write_bits` pads it); the transfer is
+        priced from the ``"write"`` row I/O template after the rows
+        land.
         """
         bits = np.asarray(bits, dtype=np.uint8)
         row_bits = self.geometry.row_bits
@@ -163,9 +165,10 @@ class PinatuboExecutor:
             return acct
         used = frames[: -(-n_bits // row_bits)]
         template = self._row_template("write", n_bits, used)
-        write_bits = self.memory.write_bits
-        for i, frame in enumerate(used):
-            write_bits(frame, bits[i * row_bits : (i + 1) * row_bits])
+        rows = np.packbits(
+            np.pad(bits, (0, len(used) * row_bits - n_bits)), bitorder="little"
+        )
+        self.memory.write_frames(used, rows.reshape(len(used), -1))
         acct.absorb(self.controller.execute_batch(template))
         return acct
 

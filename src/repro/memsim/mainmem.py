@@ -96,29 +96,20 @@ class MainMemory:
         self._block_writes: Dict[int, np.ndarray] = {}
         self._zero_row = np.zeros(geometry.row_bytes, dtype=np.uint8)
         self._zero_row.flags.writeable = False
-        self._delta_listeners: List = []
+        self._write_listeners: List = []
 
-    def add_delta_write_listener(self, listener) -> None:
+    def add_write_listener(self, listener) -> None:
         """Register a write observer fired once per write call.
 
         The hook sits on the single write choke point every path funnels
-        through (driver execution, host writes, fallbacks, the planner's
-        own serves), which is what the planning layer's cache
-        invalidation and delta repair ride on.  ``listener`` exposes two
-        methods: ``wants_delta(frames) -> bool`` is asked *before* the
-        write lands, and ``on_write(frames, farr, deltas)`` fires after
-        it, with ``frames`` in write order (a 1-tuple from
-        :meth:`write_frame`; a frame programmed twice appears twice).
-        When the listener wanted the delta, ``farr`` is the
-        deduplicated ``np.intp`` frame array and ``deltas`` the
-        matching net ``old XOR final`` packed rows; otherwise
-        both are ``None`` and the listener only learns which frames
-        changed.  The XOR is computed in the functional model only --
-        the write path already reads and programs those rows, so delta
-        capture adds no simulated cost; pricing happens when (and if)
-        a repair consumes the delta.
+        through (driver execution, host writes, fallbacks, the planning
+        layer's own serves), which is what the planner's cache
+        invalidation and dirty-chunk marking ride on.  After the write
+        lands, ``listener.on_write(frames)`` fires with ``frames`` in
+        write order (a 1-tuple from :meth:`write_frame`; a frame
+        programmed twice appears twice).
         """
-        self._delta_listeners.append(listener)
+        self._write_listeners.append(listener)
 
     # -- block management ----------------------------------------------------
 
@@ -167,28 +158,14 @@ class MainMemory:
             raise ValueError(
                 f"frame data must have shape ({self.geometry.row_bytes},)"
             )
-        frames = (frame,)
-        wants = old = None
-        if self._delta_listeners:
-            wants = [li.wants_delta(frames) for li in self._delta_listeners]
-            if any(wants):
-                old = self.frame_bytes(frame)
         block_index = frame >> self._block_shift
         row = frame & self._block_mask
         self._block(block_index)[row] = data
         self._block_writes[block_index][row] += 1
         self.total_writes += 1
         _FRAME_WRITES.add()
-        if self._delta_listeners:
-            farr = deltas = None
-            if old is not None:
-                farr = np.array([frame], dtype=np.intp)
-                deltas = np.bitwise_xor(old, data).reshape(1, -1)
-            for want, listener in zip(wants, self._delta_listeners):
-                if want:
-                    listener.on_write(frames, farr, deltas)
-                else:
-                    listener.on_write(frames, None, None)
+        for listener in self._write_listeners:
+            listener.on_write((frame,))
 
     def write_frames(self, frames, rows_2d: np.ndarray) -> None:
         """Batched :meth:`write_frame`: row ``i`` of ``rows_2d`` -> frame i.
@@ -201,9 +178,8 @@ class MainMemory:
         funnel their stores through here.
 
         A frame repeated in ``frames`` behaves as the equivalent
-        sequence of :meth:`write_frame` calls: its last row lands,
-        every occurrence counts one program, and listeners see the net
-        ``old XOR final`` delta.
+        sequence of :meth:`write_frame` calls: its last row lands and
+        every occurrence counts one program.
         """
         rows_2d = np.asarray(rows_2d, dtype=np.uint8)
         n = len(frames)
@@ -224,12 +200,6 @@ class MainMemory:
             # unspecified: land each frame's last row explicitly
             data_farr, last = np.unique(farr[::-1], return_index=True)
             data_rows = rows_2d[n - 1 - last]
-        wants = old_rows = uniq = None
-        if self._delta_listeners:
-            wants = [li.wants_delta(frames) for li in self._delta_listeners]
-            if any(wants):
-                uniq = data_farr if data_farr is not farr else np.unique(farr)
-                old_rows = self.gather_rows(uniq)
         for block_index, rows, sel in self._block_groups(data_farr):
             self._block(block_index)[rows] = (
                 data_rows if sel is None else data_rows[sel]
@@ -242,16 +212,8 @@ class MainMemory:
                 np.add.at(self._block_writes[block_index], rows, 1)
         self.total_writes += n
         _FRAME_WRITES.add(n)
-        if self._delta_listeners:
-            deltas = None
-            if old_rows is not None:
-                np.bitwise_xor(old_rows, self.gather_rows(uniq), out=old_rows)
-                deltas = old_rows
-            for want, listener in zip(wants, self._delta_listeners):
-                if want:
-                    listener.on_write(frames, uniq, deltas)
-                else:
-                    listener.on_write(frames, None, None)
+        for listener in self._write_listeners:
+            listener.on_write(frames)
 
     def _block_groups(self, farr: np.ndarray):
         """``(block index, in-block rows, selector)`` per storage block

@@ -19,10 +19,11 @@ Enable it per runtime with ``PimRuntime(..., plan=True)``; everything
 issued through ``pim_op`` / ``pim_op_many`` then plans automatically.
 ``QueryPlanner(..., compile=False)`` interprets every to-host call,
 serve and analytics query -- the priced reference the differential
-suites compare against.  Writes always delta-repair the cached
-sub-results they reach (:mod:`repro.plan.repair`, emitted from the
-executor's step templates in either mode), falling back to eager
-invalidation.
+suites compare against.  Host writes always mark the chunks they
+reach dirty in the cached sub-results reading them, and the read that
+next serves such an entry repairs it (:mod:`repro.plan.repair`,
+emitted from the executor's step templates in either mode); entries
+repair cannot reach fall back to eager invalidation.
 """
 
 from repro.plan.cache import CacheEntry, ProgramCache, SubResultCache

@@ -1,4 +1,4 @@
-"""The sharded, write-invalidated sub-result cache.
+"""The sharded, write-versioned sub-result cache.
 
 Entries are keyed by the planner's canonical expression key, the
 tuple ``(op, n_bits, children)`` (see :mod:`repro.plan.planner`): each
@@ -7,12 +7,17 @@ the same form.  An entry holds a packed copy of the result rows.
 Because every leaf of a key carries the *version* of its row frame at
 planning time, a stale entry can never be returned: any write to an
 operand row bumps that frame's version, so later lookups compute a
-different key.  Eager invalidation through :meth:`invalidate_frame`
+different key.  Eager invalidation through :meth:`invalidate_frames`
 (driven by the memory's write listener and the allocator's free hook)
-exists to reclaim the bytes immediately and to make the invalidation
-observable (the ``plan.cache.invalidations`` counter); delta repair
-(:mod:`repro.plan.repair`) pops the entries a write reaches, unpacks
-their keys and re-inserts what it can fix under the new versions.
+reclaims the bytes immediately and makes the invalidation observable
+(the ``plan.cache.invalidations`` counter).
+
+A host write does not have to drop the entries it reaches: the repair
+engine (:mod:`repro.plan.repair`) pops them, re-inserts each under its
+key at the new versions and records which chunks went stale in the
+entry's ``dirty`` slot.  A dirty entry is repaired -- its stale chunks
+recomputed -- when a lookup next serves it; :meth:`get` lets the caller
+refuse a dirty entry (a cost gate), which tallies a miss.
 
 The store is sharded by key hash; each shard is an LRU dict with its
 slice of the byte budget, so eviction pressure in one shard never scans
@@ -40,9 +45,13 @@ CacheKey = Tuple[str, int, tuple]
 
 
 class CacheEntry:
-    """One cached sub-result: packed rows plus its dependency frames."""
+    """One cached sub-result: packed rows plus its dependency frames.
 
-    __slots__ = ("key", "rows", "n_bits", "dep_frames", "nbytes")
+    ``dirty`` is ``None`` while every row is current; otherwise it is
+    the repair engine's record of the stale chunks (opaque here).
+    """
+
+    __slots__ = ("key", "rows", "n_bits", "dep_frames", "nbytes", "dirty")
 
     def __init__(
         self,
@@ -50,12 +59,14 @@ class CacheEntry:
         rows: np.ndarray,
         n_bits: int,
         dep_frames: FrozenSet[int],
+        dirty=None,
     ):
         self.key = key
         self.rows = rows
         self.n_bits = n_bits
         self.dep_frames = dep_frames
         self.nbytes = int(rows.nbytes)
+        self.dirty = dirty
 
 
 class SubResultCache:
@@ -101,12 +112,18 @@ class SubResultCache:
         """
         return self._shards[self._shard_of(key)].get(key)
 
-    def get(self, key: CacheKey) -> Optional[CacheEntry]:
-        """LRU lookup; tallies the hit/miss."""
+    def get(self, key: CacheKey, admit=None) -> Optional[CacheEntry]:
+        """LRU lookup; tallies the hit/miss.
+
+        ``admit(entry)``, when given, is asked about a dirty entry; a
+        refused entry is returned as ``None`` and tallied as a miss.
+        """
         i = self._shard_of(key)
         shard = self._shards[i]
         entry = shard.get(key)
-        if entry is None:
+        if entry is None or (
+            entry.dirty is not None and admit is not None and not admit(entry)
+        ):
             self.misses += 1
             _MISSES.add()
             return None
@@ -121,9 +138,10 @@ class SubResultCache:
         rows: np.ndarray,
         n_bits: int,
         dep_frames: Iterable[int],
+        dirty=None,
     ) -> bool:
         """Insert (or refresh) one sub-result; False if it cannot fit."""
-        entry = CacheEntry(key, rows, n_bits, frozenset(dep_frames))
+        entry = CacheEntry(key, rows, n_bits, frozenset(dep_frames), dirty)
         i = self._shard_of(key)
         if entry.nbytes > self._shard_budget:
             return False
@@ -191,7 +209,7 @@ class SubResultCache:
         once -- the old per-frame loop rescanned ``_frame_index`` for
         every frame of a bulk write.  Callers decide what the removal
         *means*: :meth:`invalidate_frames` tallies an invalidation,
-        the planner's repair path re-inserts what it can fix.
+        the repair engine re-inserts what it can repair, marked dirty.
         """
         index = self._frame_index
         if not index or index.keys().isdisjoint(frames):

@@ -34,12 +34,26 @@ multi-row activation and, critically, the NVM write-back of a full
 execution.  Serve costs merge into ``driver.stats.accounting`` so
 runtime/telemetry totals reconcile.
 
+A host write does not drop the cached entries it reaches: the repair
+engine (:mod:`repro.plan.repair`) marks their touched chunks dirty and
+re-keys them at the new versions.  The wave that next serves a dirty
+entry repairs it once, after its exec flush and before its serves, and
+folds the repair's cost into the first serving request's result.
+
 Correctness invariants:
 
 - versions only increase, and every key embeds the versions of its
   transitive leaf frames, so a cache entry can never be returned for
-  changed operands (eager invalidation via the write listener also
-  reclaims the entry's bytes immediately);
+  changed operands: a write inside a wave (exec write-backs, serves)
+  invalidates every entry reading the written frames, and a host write
+  re-keys each such entry at the new versions with the written chunks
+  marked dirty;
+- a dirty entry is never served unrepaired: its repair recomputes the
+  dirty chunks from the live operand rows before any serve of the wave
+  lands, so a wave is flushed before admitting an exec-bound request
+  that writes a frame a pending repair reads;
+- a wave is flushed before admitting a cache hit whose operand rows a
+  pending exec or serve item writes: its key saw them unwritten;
 - a wave is flushed before admitting an exec-bound request that reads
   or writes any frame a pending serve item will write, or writes a
   frame a pending exec item writes -- the only orderings where
@@ -149,6 +163,7 @@ class PlanStats:
         "program_misses",
         "compilations",
         "compile_seconds",
+        "repairs_marked",
         "repairs",
         "repair_fallbacks",
         "repaired_chunks",
@@ -170,6 +185,7 @@ class PlanStats:
         self.program_misses = 0
         self.compilations = 0
         self.compile_seconds = 0.0
+        self.repairs_marked = 0
         self.repairs = 0
         self.repair_fallbacks = 0
         self.repaired_chunks = 0
@@ -197,6 +213,7 @@ class PlanStats:
             "program_misses": self.program_misses,
             "compilations": self.compilations,
             "compile_seconds": self.compile_seconds,
+            "repairs_marked": self.repairs_marked,
             "repairs": self.repairs,
             "repair_fallbacks": self.repair_fallbacks,
             "repaired_chunks": self.repaired_chunks,
@@ -249,18 +266,19 @@ class _Item:
 class _Wave:
     """Pending items plus the frame sets the hazard checks consult."""
 
-    __slots__ = ("items", "keys", "exec_reads", "exec_writes", "serve_writes",
-                 "bind")
+    __slots__ = ("items", "keys", "exec_writes", "serve_writes", "bind",
+                 "repairs")
 
     def __init__(self) -> None:
         self.items: List[_Item] = []
         #: canonical key -> exec item (the wave-local CSE table)
         self.keys: Dict[tuple, _Item] = {}
-        self.exec_reads: Set[int] = set()
         self.exec_writes: Set[int] = set()
         self.serve_writes: Set[int] = set()
         #: vid -> (frames, key, leaves) for every pending destination
         self.bind: Dict[int, Tuple[tuple, tuple, FrozenSet[int]]] = {}
+        #: id(dirty cache entry) -> (entry, first serve item), wave order
+        self.repairs: Dict[int, tuple] = {}
 
 
 class _Stamp:
@@ -334,42 +352,28 @@ class QueryPlanner:
         self._canon_keys: Dict[tuple, tuple] = {}
         #: >0 while this planner itself is executing a wave; the dest
         #: writes a wave lands (serves, exec write-backs) always
-        #: invalidate -- their grouping differs between the interpreted
-        #: and compiled paths, and repairing mid-wave would fork their
-        #: pricing.  Host-side writes (``pim_write``, service updates)
-        #: happen at depth 0 and take the repair path.
+        #: invalidate.  Host-side writes (``pim_write``, service
+        #: updates) happen at depth 0 and mark dirty chunks instead.
         self._wave_depth = 0
         from repro.plan.repair import RepairEngine
 
-        self._repair = RepairEngine(self)
-        self.memory.add_delta_write_listener(self)
+        self.repair = RepairEngine(self)
+        self.memory.add_write_listener(self)
 
     # -- invalidation / repair hooks -----------------------------------------
 
-    def wants_delta(self, frames) -> bool:
-        """Memory asks before a write: capture ``old XOR new``?
-
-        Only when the planner is not mid-wave and some cached entry
-        actually reads one of the frames -- so unrelated writes never
-        pay the old-row gather.  Reads ``self.cache`` dynamically (tests
-        swap the cache instance out).
-        """
-        if self._wave_depth:
-            return False
-        index = self.cache._frame_index
-        return bool(index) and not index.keys().isdisjoint(frames)
-
-    def on_write(self, frames, farr=None, deltas=None) -> None:
+    def on_write(self, frames) -> None:
         """Every write to main memory lands here (driver execution, host
         writes, fallbacks, the planner's own serves), once per write
-        call with the programmed frames: bump their versions, then
-        either repair the cached sub-results that read them (a delta
-        was captured) or drop them (PR-6 eager invalidation)."""
+        call with the programmed frames: bump their versions, then drop
+        the cached sub-results that read them (inside a wave) or mark
+        their touched chunks dirty (a host write, see
+        :meth:`RepairEngine.on_delta`)."""
         self._bump_versions(frames)
-        if deltas is None:
+        if self._wave_depth:
             self.cache.invalidate_frames(frames)
         else:
-            self._repair.on_delta(farr, deltas)
+            self.repair.on_delta(frames)
 
     def on_free(self, handle) -> None:
         """Allocator free hook: a free is a write-version event.
@@ -594,13 +598,28 @@ class QueryPlanner:
                 # key fixes its leaf frames, so a serve takes the
                 # primary's or the entry's instead of their union.
                 primary = wave.keys.get(key)
-                entry = self.cache.get(key) if primary is None else None
+                entry = (
+                    self.cache.get(key, self.repair.admit)
+                    if primary is None else None
+                )
                 if primary is not None or entry is not None:
                     leaves = (
                         primary.leaves if entry is None else entry.dep_frames
                     )
+                    if entry is not None and not (
+                        leaves.isdisjoint(wave.exec_writes)
+                        and leaves.isdisjoint(wave.serve_writes)
+                    ):
+                        # a pending item writes the entry's operand rows
+                        # (the key saw them unwritten; a repair would
+                        # read them written): flush, then re-plan
+                        self.stats.hazard_flushes += 1
+                        self._flush_wave(wave, results)
+                        continue
                     item = _Item(index, req, key, leaves, dest_frames,
                                  n_chunks, "serve")
+                    if entry is not None and entry.dirty is not None:
+                        wave.repairs.setdefault(id(entry), (entry, item))
                     if primary is None:
                         item.rows = entry.rows
                         self.stats.cache_hits += 1
@@ -618,8 +637,9 @@ class QueryPlanner:
 
             # exec-bound.  Flush first if this request would observe a
             # pending serve's write out of order (RAW/WAW against a
-            # serve item) or double-write a pending exec destination
-            # (WAW whose post-flush snapshot would be ambiguous); then
+            # serve item), double-write a pending exec destination
+            # (WAW whose post-flush snapshot would be ambiguous) or
+            # write a frame a pending repair reads (WAR); then
             # re-plan against the (empty, hazard-free) wave -- the
             # flush advanced the bindings and may have inserted this
             # very expression into the cache.
@@ -631,6 +651,10 @@ class QueryPlanner:
                 (source_frames & wave.serve_writes)
                 or (dest_set & wave.serve_writes)
                 or (dest_set & wave.exec_writes)
+                or any(
+                    not dest_set.isdisjoint(entry.dep_frames)
+                    for entry, _it in wave.repairs.values()
+                )
             ):
                 self.stats.hazard_flushes += 1
                 self._flush_wave(wave, results)
@@ -642,7 +666,6 @@ class QueryPlanner:
             wave.items.append(item)
             if item.cacheable:
                 wave.keys[key] = item
-            wave.exec_reads |= source_frames
             wave.exec_writes |= dest_set
             wave.bind[req.dest.vid] = (dest_frames, key, leaves)
             return
@@ -674,8 +697,21 @@ class QueryPlanner:
             if it.cacheable:
                 self.cache.put(it.key, rows, it.req.n_bits, it.leaves)
 
+        repairs = list(wave.repairs.values())
+        if repairs:
+            accts = self.repair.repair([entry for entry, _it in repairs])
         if serve_items:
             self._serve(serve_items, primary_rows, results)
+        if repairs:
+            # the first request an entry serves pays for its repair
+            for (_entry, it), acct in zip(repairs, accts):
+                served = results[it.index]
+                results[it.index] = OpResult(
+                    served.op, served.accounting.merged(acct),
+                    acct.in_memory_steps, {},
+                )
+            driver_stats = self.driver.stats
+            driver_stats.accounting = driver_stats.accounting.merged_all(accts)
 
         # Persistent bindings: every destination now holds its
         # expression's value; snapshot the (final) versions so any later
@@ -706,10 +742,10 @@ class QueryPlanner:
 
         wave.items.clear()
         wave.keys.clear()
-        wave.exec_reads.clear()
         wave.exec_writes.clear()
         wave.serve_writes.clear()
         wave.bind.clear()
+        wave.repairs.clear()
 
     def _run_exec(self, exec_items: List[_Item]) -> List[OpResult]:
         """Execute a wave's exec items through one driver flush."""

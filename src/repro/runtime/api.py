@@ -91,7 +91,7 @@ class PimRuntime:
         definition, and builds an equivalent system.
         ``plan``/``compile`` carry through to the constructor (planned
         execution with the kernel compiler's to-host, serve and repair
-        programs; delta repair is always on).
+        programs; repair on read is always on).
         """
         from repro.backends.registry import build_system
 

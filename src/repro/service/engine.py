@@ -125,9 +125,10 @@ class ServiceEngine:
 
         Returns the priced write: ``popcount`` is the number of bits
         that actually changed (``popcount(old XOR new)``), ``latency_s``
-        / ``energy_j`` the full simulated cost of landing the write --
-        on the resident engine that includes whatever the planner's
-        delta-repair path spent fixing cached sub-results in place.
+        / ``energy_j`` the full simulated cost of landing the write.
+        On the resident engine that is the bus transfer alone: the
+        planner only marks the cached sub-results the write reaches
+        dirty, and the read that next serves one pays its repair.
         """
         raise NotImplementedError
 
@@ -266,10 +267,10 @@ class ResidentPimEngine(ServiceEngine):
             )
         rt = self.runtime
         lat0, en0 = rt.total_latency(), rt.total_energy()
-        # the write lands through the runtime's delta listener: cached
-        # sub-results reading these rows repair in place (or fall back
-        # to invalidation when recompute prices cheaper), and that cost
-        # shows up in the accounting delta below
+        # the write lands through the runtime's write listener: cached
+        # sub-results reading these rows are marked dirty (or dropped
+        # when repair cannot reach them); nothing is repaired or priced
+        # until a read serves them
         rt.pim_write(handle, bits)
         changed = int(np.count_nonzero(old != bits))
         self._host[key] = bits.copy()
@@ -378,7 +379,7 @@ class ResidentPimEngine(ServiceEngine):
         Every gate goes through the runtime (priced by the controller,
         planned and compiled like any other stream); the cost of the
         whole kernel sequence is the runtime accounting delta, exactly
-        how :meth:`update_vector` prices delta repair.  On a compiled
+        how :meth:`update_vector` prices a write.  On a compiled
         runtime a steady repeated query replays its
         :class:`~repro.arith.compile.AnalyticsProgram` instead --
         identical answers, bits and pricing, no planner work.

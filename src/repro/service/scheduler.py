@@ -162,9 +162,10 @@ class CoalescingScheduler:
         dispatch a write lands before any read executes, so a batch has
         read-your-writes semantics on the simulated timeline (the
         returned batch list reflects the execution order).  On the
-        resident engine each update flows through the runtime's
-        delta-repair listener, so cached sub-results the following reads
-        hit are already repaired, in the same coalesced dispatch.
+        resident engine each update flows through the runtime's write
+        listener, which marks the cached sub-results it reaches dirty;
+        the following reads of the same coalesced dispatch repair what
+        they hit before serving it.
         """
         batch = self.collect(queues)
         if not batch:

@@ -625,8 +625,8 @@ class BitmapQueryService:
         subscription registrations are skipped: the oracle reads the
         *final* host shadows, which only reflect a read's inputs when no
         later update rewrote them -- workloads mixing reads and writes
-        verify against a live mirror instead (see the delta-repair
-        bench/tests).
+        verify against a live mirror instead (see the repair bench and
+        tests).
         """
         checked = 0
         for result in self.results:

@@ -94,7 +94,7 @@ class ServiceLoadSpec:
     #: historical datasets byte-identically.
     value_bits: int = 0
     #: fraction of the stream converted to vector overwrites (the write
-    #: path: delta repair + standing-query refresh).  The conversion
+    #: path: dirty marking, repair on read + standing-query refresh).  The conversion
     #: uses a *separate* seeded RNG, so 0.0 reproduces the historical
     #: read-only stream byte-identically.
     write_ratio: float = 0.0

@@ -6,6 +6,27 @@ from repro.backends import GEOMETRIES, SystemConfig
 from repro.memsim.geometry import DEFAULT_GEOMETRY, DRAM_GEOMETRY
 from repro.runtime.os_mm import PlacementPolicy
 
+#: the geometry registry as importing the package leaves it (collection
+#: imports every test module before any test runs)
+_IMPORTED_GEOMETRIES = dict(GEOMETRIES)
+
+
+@pytest.fixture
+def imported_geometries():
+    """Run a test against the registry as imported.
+
+    ``GEOMETRIES`` is module-level, and other tests register geometries
+    into it (``geometry_name`` auto-registers ad-hoc ones), so the live
+    registry is snapshotted, swapped for the imported one, and restored
+    afterwards.
+    """
+    live = dict(GEOMETRIES)
+    GEOMETRIES.clear()
+    GEOMETRIES.update(_IMPORTED_GEOMETRIES)
+    yield
+    GEOMETRIES.clear()
+    GEOMETRIES.update(live)
+
 
 class TestRoundTrip:
     def test_default_round_trips(self):
@@ -42,7 +63,7 @@ class TestRoundTrip:
 
 
 class TestResolution:
-    def test_geometry_objects(self):
+    def test_geometry_objects(self, imported_geometries):
         assert SystemConfig().geometry_object() is DEFAULT_GEOMETRY
         assert SystemConfig(geometry="dram").geometry_object() is DRAM_GEOMETRY
         assert set(GEOMETRIES) == {"default", "dram"}

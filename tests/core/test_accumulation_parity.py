@@ -274,18 +274,15 @@ class _CountingListener:
     def __init__(self):
         self.events = []
 
-    def wants_delta(self, frames):
-        return True
-
-    def on_write(self, frames, farr, deltas):
-        self.events.append((list(frames), farr, deltas))
+    def on_write(self, frames):
+        self.events.append(list(frames))
 
 
 @pytest.mark.parametrize("op", ["and", "xor"])
-def test_wide_op_is_one_write_event_with_net_delta(op):
+def test_wide_op_is_one_write_event(op):
     """A 16-operand AND/XOR over 4 intra-subarray chunks is 15 pairwise
-    passes per chunk, yet raises one write event: every program in
-    step order, and the net ``old XOR final`` delta per frame."""
+    passes per chunk, yet raises one write event carrying every program
+    in step order, and lands the final rows."""
     system = PinatuboSystem(get_technology("pcm"), GEOM)
     n_ops, n_chunks = 16, 4
     dest, *sources = [
@@ -293,21 +290,15 @@ def test_wide_op_is_one_write_event_with_net_delta(op):
         for j in range(n_ops + 1)
     ]
     _fill((system,), dest + [f for s in sources for f in s], np.random.default_rng(5))
-    old = system.memory.gather_rows(dest)
     listener = _CountingListener()
-    system.memory.add_delta_write_listener(listener)
+    system.memory.add_write_listener(listener)
     writes_before = system.memory.total_writes
 
     result = system.executor.bitwise(op, dest, sources, n_chunks * GEOM.row_bits)
 
     assert result.steps == (n_ops - 1) * n_chunks
     assert system.memory.total_writes - writes_before == (n_ops - 1) * n_chunks
-    assert len(listener.events) == 1
-    frames, farr, deltas = listener.events[0]
-    assert frames == [f for f in dest for _ in range(n_ops - 1)]
+    assert listener.events == [[f for f in dest for _ in range(n_ops - 1)]]
     ufunc = {"and": np.bitwise_and, "xor": np.bitwise_xor}[op]
     expect = ufunc.reduce(np.stack([system.memory.gather_rows(s) for s in sources]), axis=0)
     np.testing.assert_array_equal(system.memory.gather_rows(dest), expect)
-    order = np.argsort(dest)
-    np.testing.assert_array_equal(farr, np.asarray(dest)[order])
-    np.testing.assert_array_equal(deltas, (old ^ expect)[order])

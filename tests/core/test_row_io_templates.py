@@ -328,10 +328,7 @@ class _WriteCounter:
     def __init__(self):
         self.events = 0
 
-    def wants_delta(self, frames):
-        return False
-
-    def on_write(self, frames, farr, deltas):
+    def on_write(self, frames):
         self.events += 1
 
 
@@ -342,7 +339,7 @@ class TestTemplateWrite:
         counters = []
         for system in (ref, new):
             counter = _WriteCounter()
-            system.memory.add_delta_write_listener(counter)
+            system.memory.add_write_listener(counter)
             counters.append(counter)
         frames = [_frame(ref, r % 2, 1, 1, 10 + r) for r in range(4)]
         bits = np.random.default_rng(n_bits).integers(0, 2, n_bits).astype(np.uint8)
@@ -351,9 +348,13 @@ class TestTemplateWrite:
             got = new.executor.write_vector(frames, bits)
             _assert_acct_equal(got, want)
             assert _ledgers(new) == _ledgers(ref)
-        # one write event per row of each host write, as before
+        # the reference lands one write event per row, write_vector
+        # one per host write
         n_rows = GEOM.rows_for_bits(n_bits)
-        assert counters[1].events == counters[0].events == 2 * n_rows
+        assert counters[0].events == 2 * n_rows
+        assert counters[1].events == 2
+        # the same rows programmed the same number of times (wear)
+        assert new.memory.write_histogram() == ref.memory.write_histogram()
         np.testing.assert_array_equal(
             new.executor.read_vector(frames, n_bits)[0], bits
         )
@@ -367,7 +368,7 @@ class TestTemplateWrite:
     def test_bad_frame_raises_before_any_row_lands(self):
         system = _system()
         counter = _WriteCounter()
-        system.memory.add_delta_write_listener(counter)
+        system.memory.add_write_listener(counter)
         with pytest.raises(ValueError):
             system.executor.write_vector(
                 [0, GEOM.total_rows], np.ones(ROW + 1, dtype=np.uint8)

@@ -206,23 +206,20 @@ class TestBitwiseCompute:
 
 
 class _Recorder:
-    """Delta listener keeping every event."""
+    """Write listener keeping every event."""
 
     def __init__(self):
         self.events = []
 
-    def wants_delta(self, frames):
-        return True
-
-    def on_write(self, frames, farr, deltas):
-        self.events.append((list(frames), farr.copy(), deltas.copy()))
+    def on_write(self, frames):
+        self.events.append(list(frames))
 
 
 class TestRepeatedFrameWrites:
     """``write_frames`` with a frame repeated acts as the equivalent
     sequence of ``write_frame`` calls: the last row per frame wins, each
-    occurrence is one program, and the one listener event carries the
-    net ``old XOR final`` delta."""
+    occurrence is one program, and listeners see one event carrying
+    every frame in write order."""
 
     @pytest.mark.parametrize("geometry", [SMALL, TWO_BLOCKS], ids=["one_block", "two_blocks"])
     def test_matches_sequential_write_frame(self, geometry):
@@ -235,8 +232,8 @@ class TestRepeatedFrameWrites:
             for frame in (3, 5, 20):
                 m.write_frame(frame, initial[frame])
         rec_b, rec_s = _Recorder(), _Recorder()
-        batched.add_delta_write_listener(rec_b)
-        serial.add_delta_write_listener(rec_s)
+        batched.add_write_listener(rec_b)
+        serial.add_write_listener(rec_s)
         counter = telemetry.counter("memsim.mainmem.frame_writes")
 
         c0 = counter.value
@@ -258,15 +255,8 @@ class TestRepeatedFrameWrites:
         assert batched.write_histogram() == serial.write_histogram()
         assert batched_count == serial_count == len(frames)
 
-        assert len(rec_b.events) == 1
-        event_frames, farr, deltas = rec_b.events[0]
-        assert event_frames == frames
-        np.testing.assert_array_equal(farr, [3, 5, 20, 31])
-        net = {}
-        for (frame,), _farr, delta in rec_s.events:
-            net[frame] = net.get(frame, 0) ^ delta[0]
-        for frame, delta in zip(farr.tolist(), deltas):
-            np.testing.assert_array_equal(delta, net[frame])
+        assert rec_b.events == [frames]
+        assert rec_s.events == [[frame] for frame in frames]
 
     def test_distinct_frames_unchanged(self, mem):
         rows = np.stack([rand_frame(s) for s in range(3)])

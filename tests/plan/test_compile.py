@@ -41,12 +41,14 @@ RTOL = 1e-9
 
 
 def _runtime(compile_: bool = True, repair: bool = True) -> PimRuntime:
-    """A planned runtime; ``repair=False`` makes the planner decline
-    every write delta, so writes take the eager-invalidation path."""
+    """A planned runtime; ``repair=False`` overrides the marking hook so
+    host writes take the eager-invalidation path."""
     system = PinatuboSystem(get_technology("pcm"), GEOM)
     rt = PimRuntime(system, plan=True, compile=compile_)
     if not repair:
-        rt.planner.wants_delta = lambda frames: False
+        rt.planner.repair.on_delta = (
+            lambda frames: rt.planner.cache.invalidate_frames(frames)
+        )
     return rt
 
 

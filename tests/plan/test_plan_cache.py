@@ -29,12 +29,14 @@ N = 3 * GEOM.row_bits  # three chunks per vector
 
 
 def _runtime(repair=True, **kwargs) -> PimRuntime:
-    """A planned runtime; ``repair=False`` makes the planner decline
-    every write delta, so writes take the eager-invalidation path."""
+    """A planned runtime; ``repair=False`` overrides the marking hook so
+    host writes take the eager-invalidation path."""
     system = PinatuboSystem(get_technology("pcm"), GEOM)
     rt = PimRuntime(system, plan=True, **kwargs)
     if not repair:
-        rt.planner.wants_delta = lambda frames: False
+        rt.planner.repair.on_delta = (
+            lambda frames: rt.planner.cache.invalidate_frames(frames)
+        )
     return rt
 
 
@@ -113,8 +115,9 @@ class TestInvalidation:
         """The satellite test: write to a row feeding a cached sub-result,
         re-issue the query, result is byte-identical to the numpy oracle
         and the invalidation is counted.  ``repair=False`` pins the
-        eager-invalidation semantics this asserts (the default now
-        repairs the entry in place -- see test_repair)."""
+        eager-invalidation semantics this asserts (the default marks
+        the entry dirty and repairs it on the next read -- see
+        test_repair)."""
         rt = _runtime(repair=False)
         (a, b, _), (ba, bb, _) = _loaded(rt)
         inv0 = telemetry.counter("plan.cache.invalidations").value
