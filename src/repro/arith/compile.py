@@ -65,7 +65,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.core.stats import OpAccounting
 from repro.plan.cache import ProgramCache
 from repro.plan.compile import SEEN_ONCE
 
@@ -195,42 +194,6 @@ class AnalyticsProgram:
         self.stamp = None
         self.records: "OrderedDict[tuple, object]" = OrderedDict()
         self.scratch_high_water = 0
-
-
-def _acct_snapshot(acct: OpAccounting) -> tuple:
-    """Value snapshot of an accounting object (it may mutate in place)."""
-    return (
-        acct.latency,
-        acct.energy,
-        acct.in_memory_steps,
-        acct.bus_data_bytes,
-        acct.bus_commands,
-        acct.bits_processed,
-        dict(acct.locality_counts),
-        dict(acct.energy_by_kind),
-    )
-
-
-def _acct_delta(after: OpAccounting, before: tuple) -> OpAccounting:
-    """``after - before`` as a fresh OpAccounting (zero entries dropped)."""
-    (lat, en, steps, bus_b, bus_c, bits, locs, kinds) = before
-    delta = OpAccounting(
-        latency=after.latency - lat,
-        energy=after.energy - en,
-        in_memory_steps=after.in_memory_steps - steps,
-        bus_data_bytes=after.bus_data_bytes - bus_b,
-        bus_commands=after.bus_commands - bus_c,
-        bits_processed=after.bits_processed - bits,
-    )
-    for loc, n in after.locality_counts.items():
-        d = n - locs.get(loc, 0)
-        if d:
-            delta.locality_counts[loc] = d
-    for kind, e in after.energy_by_kind.items():
-        d = e - kinds.get(kind, 0.0)
-        if d:
-            delta.energy_by_kind[kind] = d
-    return delta
 
 
 class AnalyticsCompiler:
@@ -363,8 +326,8 @@ class AnalyticsCompiler:
             stats = runtime.driver.stats
             plan = self.planner.stats
             before = (
-                _acct_snapshot(stats.accounting),
-                _acct_snapshot(runtime.host_accounting),
+                stats.accounting.copy(),
+                runtime.host_accounting.copy(),
                 stats.requests,
                 stats.instructions,
                 stats.mode_switches,
@@ -401,8 +364,8 @@ class AnalyticsCompiler:
         ):
             return  # not steady state: stay interpreted, retry later
         rec = _Record()
-        rec.acct = acct = _acct_delta(stats.accounting, pim0)
-        host = _acct_delta(runtime.host_accounting, host0)
+        rec.acct = acct = stats.accounting.minus(pim0)
+        host = runtime.host_accounting.minus(host0)
         if not (host.latency or host.energy or host.bus_commands):
             host = None
         rec.host_acct = host

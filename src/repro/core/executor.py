@@ -55,7 +55,7 @@ operation afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,7 +63,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.bitops import popcount_rows
 from repro.core.ops import BITWISE_UFUNCS, OperandLimits, PimOp, operand_limits
-from repro.core.stats import OpAccounting
+from repro.core.stats import LOCALITY_BASE, LOCALITY_CODES, OpAccounting
 from repro.memsim.address import AddressMapper, OpLocality
 from repro.memsim.controller import (
     KIND_CODES as _CODE,
@@ -105,7 +105,11 @@ class OpResult:
     op: PimOp
     accounting: OpAccounting
     steps: int  # in-memory combine steps actually issued
-    localities: Dict[OpLocality, int] = field(default_factory=dict)
+
+    @property
+    def localities(self) -> Dict[OpLocality, int]:
+        """Combine steps issued per operand locality."""
+        return self.accounting.locality_counts
 
     @property
     def latency(self) -> float:
@@ -274,7 +278,7 @@ class PinatuboExecutor:
             "core.executor.bitwise", op=op.value, n_bits=n_bits
         ) as sp:
             batch = CommandBatch()
-            total_steps, acct, localities, _rows = self._bitwise_into(
+            total_steps, acct, _rows = self._bitwise_into(
                 batch, op, dest, sources, n_bits, n_chunks, overlap_chunks,
                 self._prevalidate_placement(dest, sources, n_chunks),
             )
@@ -283,9 +287,7 @@ class PinatuboExecutor:
                 self.record_sink.append(("single", batch))
             acct.count_bits(n_bits * len(sources))
             sp.add(steps=total_steps)
-            return OpResult(
-                op=op, accounting=acct, steps=total_steps, localities=localities
-            )
+            return OpResult(op=op, accounting=acct, steps=total_steps)
 
     def bitwise_many(
         self, requests: Sequence[BitwiseRequest]
@@ -327,24 +329,22 @@ class PinatuboExecutor:
                 parsed, chunk_locs
             ):
                 batch.mark()
-                steps, acct, localities, _rows = self._bitwise_into(
+                steps, acct, _rows = self._bitwise_into(
                     batch, op, dest, sources, n_bits, n_chunks, overlap,
                     chunk_localities=locs,
                 )
-                metas.append((op, steps, acct, localities, n_bits, len(sources)))
+                metas.append((op, steps, acct, n_bits, len(sources)))
             _, per_op = self.controller.execute_batch(batch, split_ops=True)
             if self.record_sink is not None:
                 self.record_sink.append(("many", batch))
 
             results = []
-            for (op, steps, acct, localities, n_bits, n_sources), stats in zip(
+            for (op, steps, acct, n_bits, n_sources), stats in zip(
                 metas, per_op
             ):
                 acct.absorb(stats)
                 acct.count_bits(n_bits * n_sources)
-                results.append(
-                    OpResult(op=op, accounting=acct, steps=steps, localities=localities)
-                )
+                results.append(OpResult(op=op, accounting=acct, steps=steps))
             return results
 
     def bitwise_to_host(
@@ -374,7 +374,7 @@ class PinatuboExecutor:
             "core.executor.bitwise_to_host", op=op.value, n_bits=n_bits
         ) as sp:
             batch = CommandBatch()
-            total_steps, acct, localities, rows = self._bitwise_into(
+            total_steps, acct, rows = self._bitwise_into(
                 batch, op, scratch, sources, n_bits, n_chunks, False,
                 self._prevalidate_placement(scratch, sources, n_chunks),
                 emit_host=True,
@@ -384,9 +384,7 @@ class PinatuboExecutor:
                 self.record_sink.append(("to_host", batch))
             acct.count_bits(n_bits * len(sources))
             sp.add(steps=total_steps)
-            result = OpResult(
-                op=op, accounting=acct, steps=total_steps, localities=localities
-            )
+            result = OpResult(op=op, accounting=acct, steps=total_steps)
             # rows are contiguous chunks of the vector: flatten and truncate
             bits = np.unpackbits(rows.reshape(-1), bitorder="little")[:n_bits]
             return bits, result
@@ -445,26 +443,25 @@ class PinatuboExecutor:
         overlap_chunks: bool,
         chunk_localities: List[OpLocality],
         emit_host: bool = False,
-    ) -> Tuple[int, OpAccounting, Dict[OpLocality, int], np.ndarray]:
+    ) -> Tuple[int, OpAccounting, np.ndarray]:
         """Emit one logical operation's commands into ``batch``.
 
         The batch is fenced per combine step unless ``overlap_chunks``;
         ``chunk_localities`` come from :meth:`_prevalidate_placement`.
-        Returns ``(steps, accounting, localities, rows)`` where ``rows``
-        is each chunk's final packed result, ``(n_chunks, row_bytes)``.
-        With ``emit_host`` every chunk's final step streams to the host
-        and ``dest`` only holds accumulation intermediates.
+        Returns ``(steps, accounting, rows)`` where ``rows`` is each
+        chunk's final packed result, ``(n_chunks, row_bytes)``.  With
+        ``emit_host`` every chunk's final step streams to the host and
+        ``dest`` only holds accumulation intermediates.
         """
         acct = OpAccounting()
-        localities: Dict[OpLocality, int] = {}
         fence_steps = not overlap_chunks
         vectorized = self._vector_chunks(
             batch, op, dest, sources, n_bits, n_chunks, fence_steps,
-            chunk_localities, acct, localities, emit_host,
+            chunk_localities, acct, emit_host,
         )
         if vectorized is not None:
             steps, rows = vectorized
-            return steps, acct, localities, rows
+            return steps, acct, rows
         total_steps = 0
         finals: List[np.ndarray] = []
         row_bits = self.geometry.row_bits
@@ -472,10 +469,10 @@ class PinatuboExecutor:
             chunk_bits = min(n_bits - c * row_bits, row_bits)
             chunk_sources = [s[c] for s in sources]
             total_steps += self._chunk_bitwise(
-                op, dest[c], chunk_sources, chunk_bits, acct, localities,
-                batch, chunk_localities[c], emit_host, finals, fence_steps,
+                op, dest[c], chunk_sources, chunk_bits, acct, batch,
+                chunk_localities[c], emit_host, finals, fence_steps,
             )
-        return total_steps, acct, localities, np.stack(finals)
+        return total_steps, acct, np.stack(finals)
 
     def _vector_chunks(
         self,
@@ -488,7 +485,6 @@ class PinatuboExecutor:
         fence_steps: bool,
         chunk_localities: List[OpLocality],
         acct: OpAccounting,
-        localities: Dict[OpLocality, int],
         emit_host: bool,
     ) -> Optional[Tuple[int, np.ndarray]]:
         """Row-parallel path: one numpy pass over every chunk and step.
@@ -510,10 +506,10 @@ class PinatuboExecutor:
         destination.
         """
         n_src = len(sources)
-        limit = max(2, self.limits.single_step_limit(op))
+        intra = OpLocality.INTRA_SUBARRAY
+        fanins = self.step_fanins(op, n_src, intra)
         multi = [False] * n_chunks
-        if op is not PimOp.INV and n_src > limit:
-            intra = OpLocality.INTRA_SUBARRAY
+        if len(fanins) > 1:
             multi = [loc is intra for loc in chunk_localities]
         any_multi = True in multi
         writers = (
@@ -541,14 +537,14 @@ class PinatuboExecutor:
         if op is PimOp.INV:
             outs = np.bitwise_not(stack[:1])
         elif any_multi:
-            # step k's output is the prefix through its last operand
-            ends = list(range(limit - 1, n_src - 1, limit - 1))
-            ends.append(n_src - 1)
+            # step k's output is the prefix through its last operand:
+            # step 1 reads fanins[0] operands, each later step the
+            # destination plus fanins[k] - 1 new ones
+            k = len(fanins)
+            ends = np.cumsum(fanins) - np.arange(1, k + 1)
             outs = BITWISE_UFUNCS[op].accumulate(stack[:n_src], axis=0)[ends]
-            # steps 2..K as (n_operands, emit_host, first, end) runs: the
-            # destination (operands[0]) plus up to limit - 1 new operands
-            k = len(ends)
-            last_n = 1 + ends[-1] - ends[-2]
+            # steps 2..K as (n_operands, emit_host, first, end) runs
+            limit, last_n = fanins[0], fanins[-1]
             full = k if last_n == limit and not emit_host else k - 1
             tail = [(limit, False, 1, full)] if full > 1 else []
             if full < k:
@@ -575,7 +571,7 @@ class PinatuboExecutor:
         row_bits = self.geometry.row_bits
         channel_of = self.mapper.channel_of
         step_rows = self._step_rows
-        counts = acct.locality_counts
+        record = acct.record
         store_frames: List[int] = []
         store_index: List[int] = []
         total_steps = 0
@@ -587,7 +583,7 @@ class PinatuboExecutor:
                 k_c = n_steps
                 ws = step_widths[c::n_chunks]
                 ch_dest = channel_of(dest[c])
-                runs = [(ch, limit, False, 0, 1)]
+                runs = [(ch, fanins[0], False, 0, 1)]
                 runs += [(ch_dest, *run) for run in tail]
             else:
                 k_c = 1
@@ -609,8 +605,7 @@ class PinatuboExecutor:
             n_stored = k_c - emit_host
             store_frames += [dest[c]] * n_stored
             store_index += range(first, first + n_stored * n_chunks, n_chunks)
-            counts[locality] = counts.get(locality, 0) + k_c
-            localities[locality] = localities.get(locality, 0) + k_c
+            record[LOCALITY_BASE + LOCALITY_CODES[locality]] += k_c
             total_steps += k_c
         acct.count_step(total_steps)
         if store_frames:
@@ -620,6 +615,26 @@ class PinatuboExecutor:
 
     # -- chunk-level execution ------------------------------------------------
 
+    def step_fanins(
+        self, op: PimOp, n_operands: int, locality: OpLocality
+    ) -> Tuple[int, ...]:
+        """Operand count of each combine step of one chunk.
+
+        INV reads one operand.  The buffered paths (inter-subarray,
+        inter-bank) fold every operand in one pass -- the multi-row
+        activation limit is a sensing constraint and does not apply
+        there.  Intra-subarray, the first step combines up to the op's
+        single-step limit of operands and each later step the
+        destination plus up to ``limit - 1`` new ones.
+        """
+        if op is PimOp.INV:
+            return (1,)
+        limit = max(2, self.limits.single_step_limit(op))
+        if locality is not OpLocality.INTRA_SUBARRAY or n_operands <= limit:
+            return (n_operands,)
+        full, last = divmod(n_operands - limit, limit - 1)
+        return (limit,) * (1 + full) + ((1 + last,) if last else ())
+
     def _chunk_bitwise(
         self,
         op: PimOp,
@@ -627,7 +642,6 @@ class PinatuboExecutor:
         srcs: Sequence[int],
         chunk_bits: int,
         acct: OpAccounting,
-        localities: Dict[OpLocality, int],
         batch: CommandBatch,
         locality: OpLocality,
         emit_host: bool,
@@ -638,47 +652,40 @@ class PinatuboExecutor:
         reference :meth:`_vector_chunks` matches, and its fallback when
         aliasing makes the step order observable.
 
-        Folds locality tallies into ``acct``/``localities`` in place,
-        emits the steps into ``batch``, appends the chunk's final
-        packed row to ``finals`` and returns the number of combine
-        steps issued.  ``locality`` is the chunk's classification from
+        Folds locality tallies into ``acct`` in place, emits the steps
+        into ``batch``, appends the chunk's final packed row to
+        ``finals`` and returns the number of combine steps issued.
+        ``locality`` is the chunk's classification from
         :meth:`_prevalidate_placement`.
+
+        A step after the first reads the destination as its
+        accumulator, so a destination that is also a later operand
+        would be read overwritten.  AND, OR and XOR commute: such a
+        destination is read once, in the first step, and its other
+        copies are dropped (all of them for the idempotent AND and OR,
+        in cancelling pairs for XOR).
         """
         self._set_mode(op, batch)
-
-        if op is PimOp.INV or locality is not OpLocality.INTRA_SUBARRAY:
-            # single combine step: INV, or the buffered path where the
-            # global (or I/O) buffer accumulates every operand in one
-            # pass -- the multi-row activation limit is a sensing
-            # constraint and does not apply there.
-            operands = [srcs[0]] if op is PimOp.INV else list(srcs)
-            finals.append(self._combine_step(
-                op, dest, operands, chunk_bits, acct, localities, locality,
-                batch, emit_host, fence_steps,
-            ))
-            return 1
-
-        limit = max(2, self.limits.single_step_limit(op))
-        pending = list(srcs)
-        # First pass: combine up to `limit` original operands.
-        group = pending[: limit]
-        pending = pending[limit:]
-        new = self._combine_step(
-            op, dest, group, chunk_bits, acct, localities, locality, batch,
-            emit_host and not pending, fence_steps,
-        )
-        steps = 1
-        # Accumulate the rest: dest + up to (limit - 1) new operands per step.
-        while pending:
-            group = pending[: limit - 1]
-            pending = pending[limit - 1 :]
+        operands = [srcs[0]] if op is PimOp.INV else list(srcs)
+        fanins = self.step_fanins(op, len(operands), locality)
+        if dest in operands[fanins[0]:]:
+            others = [f for f in operands if f != dest]
+            copies = len(operands) - len(others)
+            keep = copies % 2 if op is PimOp.XOR else 1
+            # nothing left but cancelled XOR pairs: the result is d ^ d
+            operands = [dest] * keep + others or [dest, dest]
+            fanins = self.step_fanins(op, len(operands), locality)
+        group, rest = operands[: fanins[0]], operands[fanins[0]:]
+        last = len(fanins) - 1
+        for k, fanin in enumerate(fanins):
+            if k:
+                group, rest = [dest] + rest[: fanin - 1], rest[fanin - 1:]
             new = self._combine_step(
-                op, dest, [dest] + group, chunk_bits, acct, localities,
-                locality, batch, emit_host and not pending, fence_steps,
+                op, dest, group, chunk_bits, acct, locality, batch,
+                emit_host and k == last, fence_steps,
             )
-            steps += 1
         finals.append(new)
-        return steps
+        return len(fanins)
 
     def _set_mode(
         self,
@@ -701,7 +708,6 @@ class PinatuboExecutor:
         operands: Sequence[int],
         chunk_bits: int,
         acct: OpAccounting,
-        localities: Dict[OpLocality, int],
         locality: OpLocality,
         batch: CommandBatch,
         emit_host: bool,
@@ -712,15 +718,20 @@ class PinatuboExecutor:
 
         The functional result is computed **once**: it both sizes the
         differential write (only flipped cells pay write energy) and is
-        the data written back / streamed to the host.
+        the data written back / streamed to the host.  A one-operand
+        AND/OR/XOR step senses its row and writes it back unchanged.
         """
-        new = self.memory.bitwise_frames(op.value, operands)
+        memory = self.memory
+        if len(operands) == 1 and op is not PimOp.INV:
+            new = memory.frame_view(operands[0]).copy()
+        else:
+            new = memory.bitwise_frames(op.value, operands)
         ch = self.mapper.channel_of(operands[0])
         rows, wb_index = self._step_rows(
             op, locality, ch, len(operands), chunk_bits, emit_host
         )
         if wb_index is not None:
-            changed = self.memory.diff_bits(dest, new)
+            changed = memory.diff_bits(dest, new)
             rows = list(rows)
             kind, c, _n_bits, n_steps, transfer = rows[wb_index]
             rows[wb_index] = (kind, c, changed, n_steps, transfer)
@@ -728,12 +739,10 @@ class PinatuboExecutor:
         if fence_steps:
             batch.fence()
         # cost deferred to the batch; tally the locality now
-        counts = acct.locality_counts
-        counts[locality] = counts.get(locality, 0) + 1
+        acct.record[LOCALITY_BASE + LOCALITY_CODES[locality]] += 1
         acct.count_step()
-        localities[locality] = localities.get(locality, 0) + 1
         if not emit_host:
-            self.memory.write_frame(dest, new)
+            memory.write_frame(dest, new)
         return new
 
     # -- command generation -------------------------------------------------------

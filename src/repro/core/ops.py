@@ -35,6 +35,9 @@ class PimOp(enum.Enum):
     XOR = "xor"
     INV = "inv"
 
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, name) -> "PimOp":
         """Accept a PimOp or its lowercase string name."""

@@ -1,5 +1,26 @@
 """Operation accounting for Pinatubo executions, and the stats contract.
 
+Costs travel from the controller to the client as one fixed-width
+record.  :class:`~repro.memsim.controller.ExecutionStats` (one priced
+command stream) and :class:`OpAccounting` (a sequence of PIM
+operations) keep their scalar totals -- latency, energy, steps, bits,
+bus bytes and commands -- as plain Python numbers, and everything
+split by category in one float64 vector, ``record``:
+
+- ``record[KIND_CODES[kind]]`` -- commands issued of each
+  :class:`~repro.memsim.controller.CommandKind`;
+- ``record[N_KINDS + KIND_CODES[kind]]`` -- their energy (J), the
+  paper's Fig. 11 split;
+- ``record[LOCALITY_BASE + LOCALITY_CODES[locality]]``
+  (:class:`OpAccounting` only) -- combine steps per
+  :class:`~repro.memsim.address.OpLocality`.
+
+Combining records is a vector add and an accounting delta a vector
+subtraction, element by element in the order the costs were added, so
+every float is the same as adding the categories one at a time.
+``counts``, ``energy_by_kind`` and ``locality_counts`` are read-only
+dicts of the categories counted at least once.
+
 Every stats surface in the repro (:class:`~repro.memsim.controller.
 ExecutionStats`, :class:`~repro.memsim.controller.PerfCounters`,
 :class:`~repro.runtime.driver.DriverStats`, :class:`~repro.backends.
@@ -20,8 +41,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.memsim.address import OpLocality
-from repro.memsim.controller import CommandKind, ExecutionStats
+from repro.memsim.controller import N_KINDS, CommandKind, ExecutionStats
+from repro.memsim.controller import kind_energies, stats_equal
+
+#: an accounting record is an ExecutionStats record (``record[:LOCALITY_BASE]``)
+#: then the combine steps at each locality ``loc``, at
+#: ``record[LOCALITY_BASE + LOCALITY_CODES[loc]]``
+LOCALITY_BASE = 2 * N_KINDS
+_LOCALITIES = tuple(OpLocality)
+LOCALITY_CODES = {loc: i for i, loc in enumerate(_LOCALITIES)}
+_ZERO_RECORD = np.zeros(LOCALITY_BASE + len(_LOCALITIES))
 
 
 @runtime_checkable
@@ -44,26 +76,36 @@ class OpAccounting:
     latency: float = 0.0  # s
     energy: float = 0.0  # J
     in_memory_steps: int = 0  # sensing/buffer passes issued
-    locality_counts: Dict[OpLocality, int] = field(default_factory=dict)
-    energy_by_kind: Dict[CommandKind, float] = field(default_factory=dict)
     bus_data_bytes: int = 0
     bus_commands: int = 0
     bits_processed: int = 0  # operand bits consumed by the ops
+    #: per-kind counts and energies, then per-locality steps
+    record: np.ndarray = field(default_factory=_ZERO_RECORD.copy)
+
+    __eq__ = stats_equal
+
+    @property
+    def energy_by_kind(self) -> Dict[CommandKind, float]:
+        return kind_energies(self.record)
+
+    @property
+    def locality_counts(self) -> Dict[OpLocality, int]:
+        counts = self.record[LOCALITY_BASE:].tolist()
+        return {_LOCALITIES[i]: int(n) for i, n in enumerate(counts) if n > 0}
 
     def absorb(
         self, stats: ExecutionStats, locality: Optional[OpLocality] = None
     ) -> None:
         """Fold one command-stream execution into the running totals."""
+        bus = stats.bus
         self.latency += stats.latency
         self.energy += stats.energy
-        self.bus_data_bytes += stats.bus.data_bytes
-        self.bus_commands += stats.bus.commands
-        for kind, e in stats.energy_by_kind.items():
-            self.energy_by_kind[kind] = self.energy_by_kind.get(kind, 0.0) + e
+        self.bus_data_bytes += bus.data_bytes
+        self.bus_commands += bus.commands
+        kinds = self.record[:LOCALITY_BASE]
+        kinds += stats.record
         if locality is not None:
-            self.locality_counts[locality] = (
-                self.locality_counts.get(locality, 0) + 1
-            )
+            self.record[LOCALITY_BASE + LOCALITY_CODES[locality]] += 1
 
     def count_step(self, n: int = 1) -> None:
         self.in_memory_steps += n
@@ -93,62 +135,68 @@ class OpAccounting:
 
     def energy_breakdown(self) -> Dict[str, float]:
         """{command kind name: fraction of array energy}, descending."""
-        total = sum(self.energy_by_kind.values())
+        by_kind = self.energy_by_kind
+        total = sum(by_kind.values())
         if total <= 0:
             return {}
         items = sorted(
-            ((k.value, e / total) for k, e in self.energy_by_kind.items()),
+            ((k.value, e / total) for k, e in by_kind.items()),
             key=lambda kv: kv[1],
             reverse=True,
         )
         return dict(items)
 
-    def merge_from(self, other: "OpAccounting") -> None:
-        """In-place :meth:`merged`: same field and dict accumulation
-        order, so ``a.merged(x).merged(y)`` and ``t = a.merged(x);
-        t.merge_from(y)`` produce bit-identical floats -- :meth:`merged_all`
-        relies on that to accumulate a wave without one allocation per
-        item."""
-        self.latency += other.latency
-        self.energy += other.energy
-        self.in_memory_steps += other.in_memory_steps
-        self.bus_data_bytes += other.bus_data_bytes
-        self.bus_commands += other.bus_commands
-        self.bits_processed += other.bits_processed
-        for loc, n in other.locality_counts.items():
-            self.locality_counts[loc] = self.locality_counts.get(loc, 0) + n
-        for kind, e in other.energy_by_kind.items():
-            self.energy_by_kind[kind] = self.energy_by_kind.get(kind, 0.0) + e
-
     def merged_all(self, others: Iterable["OpAccounting"]) -> "OpAccounting":
-        """``self.merged(a).merged(b)...`` with one allocation: the first
-        :meth:`merged` copies, :meth:`merge_from` folds in the rest
-        (bit-identical floats).  ``self`` is never mutated; with no
-        ``others`` it is returned as is."""
-        out = None
+        """``self + a + b + ...`` as a new accounting, added field by
+        field in that order; ``self`` is never mutated.  :meth:`copy`
+        and :meth:`merge_from` go through it, and :meth:`merged` writes
+        out its one-item case."""
+        latency, energy, steps = self.latency, self.energy, self.in_memory_steps
+        data_bytes, commands = self.bus_data_bytes, self.bus_commands
+        bits, record = self.bits_processed, self.record.copy()
         for other in others:
-            if out is None:
-                out = self.merged(other)
-            else:
-                out.merge_from(other)
-        return self if out is None else out
+            latency += other.latency
+            energy += other.energy
+            steps += other.in_memory_steps
+            data_bytes += other.bus_data_bytes
+            commands += other.bus_commands
+            bits += other.bits_processed
+            record += other.record
+        return OpAccounting(latency, energy, steps, data_bytes, commands, bits, record)
 
     def merged(self, other: "OpAccounting") -> "OpAccounting":
-        out = OpAccounting(
-            latency=self.latency + other.latency,
-            energy=self.energy + other.energy,
-            in_memory_steps=self.in_memory_steps + other.in_memory_steps,
-            locality_counts=dict(self.locality_counts),
-            energy_by_kind=dict(self.energy_by_kind),
-            bus_data_bytes=self.bus_data_bytes + other.bus_data_bytes,
-            bus_commands=self.bus_commands + other.bus_commands,
-            bits_processed=self.bits_processed + other.bits_processed,
+        """``self.merged_all((other,))``, written out: the hottest merge."""
+        return OpAccounting(
+            self.latency + other.latency,
+            self.energy + other.energy,
+            self.in_memory_steps + other.in_memory_steps,
+            self.bus_data_bytes + other.bus_data_bytes,
+            self.bus_commands + other.bus_commands,
+            self.bits_processed + other.bits_processed,
+            self.record + other.record,
         )
-        for loc, n in other.locality_counts.items():
-            out.locality_counts[loc] = out.locality_counts.get(loc, 0) + n
-        for kind, e in other.energy_by_kind.items():
-            out.energy_by_kind[kind] = out.energy_by_kind.get(kind, 0.0) + e
-        return out
+
+    def copy(self) -> "OpAccounting":
+        return self.merged_all(())
+
+    def merge_from(self, other: "OpAccounting") -> None:
+        """In-place :meth:`merged`."""
+        total = self.merged(other)
+        for name in self.__slots__:
+            setattr(self, name, getattr(total, name))
+
+    def minus(self, before: "OpAccounting") -> "OpAccounting":
+        """``self - before`` as a new accounting: what was added to
+        ``before`` (an earlier :meth:`copy` of this one) since."""
+        return OpAccounting(
+            self.latency - before.latency,
+            self.energy - before.energy,
+            self.in_memory_steps - before.in_memory_steps,
+            self.bus_data_bytes - before.bus_data_bytes,
+            self.bus_commands - before.bus_commands,
+            self.bits_processed - before.bits_processed,
+            self.record - before.record,
+        )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dict (enum keys become their ``.value`` strings)."""

@@ -61,6 +61,9 @@ class OpLocality(enum.Enum):
     INTER_BANK = "inter_bank"
     INTER_CHIP = "inter_chip"  # not executable in memory
 
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
+
 
 #: locality per :meth:`AddressMapper.locality_codes` code value
 LOCALITY_BY_CODE = (

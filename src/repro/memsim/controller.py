@@ -67,11 +67,15 @@ class CommandKind(enum.Enum):
     BUF_OP = "buf_op"
     PRE = "pre"
 
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
 
-#: stable integer code per kind (index into the price table's arrays)
+
+#: stable integer code per kind (index into the price table's arrays
+#: and into every cost record)
 KIND_CODES: Dict[CommandKind, int] = {k: i for i, k in enumerate(CommandKind)}
 _KINDS: Tuple[CommandKind, ...] = tuple(CommandKind)
-_N_KINDS = len(_KINDS)
+N_KINDS = len(_KINDS)
 
 #: price-cache entries kept per controller before the cache is dropped
 #: (PIM_WRITEBACK widths are data-dependent, so the key space is open)
@@ -101,38 +105,64 @@ class Command:
             raise ValueError("invalid command cost fields")
 
 
+_ZERO_RECORD = np.zeros(2 * N_KINDS)
+
+
+def stats_equal(a, b) -> bool:
+    """``==`` of two stats objects: same type, equal ``to_dict()``."""
+    return type(a) is type(b) and a.to_dict() == b.to_dict()
+
+
+def kind_energies(record: np.ndarray) -> Dict[CommandKind, float]:
+    """{kind: energy (J)} of the kinds a cost record counts."""
+    values = record[: 2 * N_KINDS].tolist()
+    return {
+        _KINDS[i]: values[N_KINDS + i] for i in range(N_KINDS) if values[i] > 0
+    }
+
+
 @dataclass(slots=True)
 class ExecutionStats:
-    """Aggregated cost of an executed command stream."""
+    """Aggregated cost of an executed command stream.
+
+    The per-kind split lives in ``record``: one float64 vector holding
+    each kind's command count at ``[KIND_CODES[kind]]`` and its energy
+    at ``[N_KINDS + KIND_CODES[kind]]``.  ``counts`` and
+    ``energy_by_kind`` are read-only dicts of the kinds issued.
+    """
 
     latency: float = 0.0  # s (critical path: max over channels)
     energy: float = 0.0  # J (sum over everything)
-    counts: Dict[CommandKind, int] = field(default_factory=dict)
-    energy_by_kind: Dict[CommandKind, float] = field(default_factory=dict)
     bus: BusStats = field(default_factory=BusStats)
+    record: np.ndarray = field(default_factory=_ZERO_RECORD.copy)
+
+    __eq__ = stats_equal
+
+    @property
+    def counts(self) -> Dict[CommandKind, int]:
+        counts = self.record[:N_KINDS].tolist()
+        return {_KINDS[i]: int(n) for i, n in enumerate(counts) if n > 0}
+
+    @property
+    def energy_by_kind(self) -> Dict[CommandKind, float]:
+        return kind_energies(self.record)
 
     def add_count(self, kind: CommandKind, n: int = 1) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + n
+        self.record[KIND_CODES[kind]] += n
 
     def add_energy(self, kind: CommandKind, joules: float) -> None:
-        self.energy_by_kind[kind] = self.energy_by_kind.get(kind, 0.0) + joules
+        self.record[N_KINDS + KIND_CODES[kind]] += joules
 
     def merged(self, other: "ExecutionStats", serial: bool = True) -> "ExecutionStats":
         """Combine two stats; serial adds latencies, parallel takes max."""
-        out = ExecutionStats(
+        return ExecutionStats(
             latency=(self.latency + other.latency)
             if serial
             else max(self.latency, other.latency),
             energy=self.energy + other.energy,
-            counts=dict(self.counts),
-            energy_by_kind=dict(self.energy_by_kind),
             bus=self.bus.merge(other.bus),
+            record=self.record + other.record,
         )
-        for kind, n in other.counts.items():
-            out.counts[kind] = out.counts.get(kind, 0) + n
-        for kind, e in other.energy_by_kind.items():
-            out.energy_by_kind[kind] = out.energy_by_kind.get(kind, 0.0) + e
-        return out
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dict (enum keys become their ``.value`` strings)."""
@@ -153,7 +183,7 @@ class ExecutionStats:
 
     def summary(self) -> str:
         """One-line human-readable digest."""
-        n_cmds = sum(self.counts.values())
+        n_cmds = int(self.record[:N_KINDS].sum())
         return (
             f"ExecutionStats: {n_cmds} commands, "
             f"latency {self.latency:.3e}s, energy {self.energy:.3e}J, "
@@ -245,12 +275,12 @@ class PriceTable:
     def __init__(self, timing: TimingParams):
         self.timing = timing
         t = timing
-        base = np.zeros(_N_KINDS)
-        step = np.zeros(_N_KINDS)
-        e_fixed = np.zeros(_N_KINDS)
-        e_bit = np.zeros(_N_KINDS)
-        bus_cmds = np.zeros(_N_KINDS)
-        transfer = np.zeros(_N_KINDS)
+        base = np.zeros(N_KINDS)
+        step = np.zeros(N_KINDS)
+        e_fixed = np.zeros(N_KINDS)
+        e_bit = np.zeros(N_KINDS)
+        bus_cmds = np.zeros(N_KINDS)
+        transfer = np.zeros(N_KINDS)
 
         def set_row(kind, *, b=0.0, s=0.0, ef=0.0, eb=0.0, bc=0.0, tr=0.0):
             i = KIND_CODES[kind]
@@ -743,24 +773,21 @@ class MemoryController:
             ).reshape(n_seg, n_buses)
             seg_latency = per_seg_ch.max(axis=1)
 
-            counts = np.bincount(kinds, minlength=_N_KINDS)
-            kind_energy = np.bincount(kinds, weights=energy, minlength=_N_KINDS)
-
-            stats = ExecutionStats()
-            stats.latency = float(seg_latency.sum())
-            for i in range(_N_KINDS):
-                if counts[i]:
-                    stats.counts[_KINDS[i]] = int(counts[i])
-                    stats.energy_by_kind[_KINDS[i]] = float(kind_energy[i])
-            array_energy_total = float(energy.sum())
             bus_energy_total = float(bus_energy.sum())
-            stats.bus = BusStats(
-                commands=int(bus_cmds.sum()),
-                data_bytes=int(bus_bytes.sum()),
-                busy_time=float(bus_t.sum()),
-                energy=bus_energy_total,
+            stats = ExecutionStats(
+                latency=float(seg_latency.sum()),
+                energy=float(energy.sum()) + bus_energy_total,
+                bus=BusStats(
+                    commands=int(bus_cmds.sum()),
+                    data_bytes=int(bus_bytes.sum()),
+                    busy_time=float(bus_t.sum()),
+                    energy=bus_energy_total,
+                ),
+                record=np.concatenate((
+                    np.bincount(kinds, minlength=N_KINDS),
+                    np.bincount(kinds, weights=energy, minlength=N_KINDS),
+                )),
             )
-            stats.energy = array_energy_total + bus_energy_total
 
             # fold bus activity into the per-channel ledgers
             ch_cmds = np.bincount(channels, weights=bus_cmds, minlength=n_buses)
@@ -836,29 +863,19 @@ class MemoryController:
         op_bus_bytes = np.bincount(op_of_cmd, weights=bus_bytes, minlength=n_ops)
         op_bus_t = np.bincount(op_of_cmd, weights=bus_t, minlength=n_ops)
         op_bus_e = np.bincount(op_of_cmd, weights=bus_energy, minlength=n_ops)
-        key = op_of_cmd * _N_KINDS + kinds
-        op_counts = np.bincount(key, minlength=n_ops * _N_KINDS).reshape(
-            n_ops, _N_KINDS
-        )
-        op_kind_energy = np.bincount(
-            key, weights=energy, minlength=n_ops * _N_KINDS
-        ).reshape(n_ops, _N_KINDS)
-
-        out: List[ExecutionStats] = []
-        for i in range(n_ops):
-            stats = ExecutionStats(
-                latency=float(op_latency[i]),
-                energy=float(op_energy[i]) + float(op_bus_e[i]),
-                bus=BusStats(
-                    commands=int(op_bus_cmds[i]),
-                    data_bytes=int(op_bus_bytes[i]),
-                    busy_time=float(op_bus_t[i]),
-                    energy=float(op_bus_e[i]),
-                ),
+        # per op: each kind's command count, then its energy
+        slot = op_of_cmd * N_KINDS + kinds
+        size = n_ops * N_KINDS
+        records = np.concatenate((
+            np.bincount(slot, minlength=size).reshape(n_ops, N_KINDS),
+            np.bincount(slot, weights=energy, minlength=size).reshape(n_ops, N_KINDS),
+        ), axis=1)
+        return [
+            ExecutionStats(lat, e + bus_e, BusStats(cmds, n_bytes, busy, bus_e), record)
+            for lat, e, cmds, n_bytes, busy, bus_e, record in zip(
+                op_latency.tolist(), op_energy.tolist(),
+                op_bus_cmds.astype(np.int64).tolist(),
+                op_bus_bytes.astype(np.int64).tolist(),
+                op_bus_t.tolist(), op_bus_e.tolist(), records,
             )
-            for k in range(_N_KINDS):
-                if op_counts[i, k]:
-                    stats.counts[_KINDS[k]] = int(op_counts[i, k])
-                    stats.energy_by_kind[_KINDS[k]] = float(op_kind_energy[i, k])
-            out.append(stats)
-        return out
+        ]

@@ -16,8 +16,7 @@ A host write does not have to drop the entries it reaches: the repair
 engine (:mod:`repro.plan.repair`) pops them, re-inserts each under its
 key at the new versions and records which chunks went stale in the
 entry's ``dirty`` slot.  A dirty entry is repaired -- its stale chunks
-recomputed -- when a lookup next serves it; :meth:`get` lets the caller
-refuse a dirty entry (a cost gate), which tallies a miss.
+recomputed -- when a lookup next serves it.
 
 The store is sharded by key hash; each shard is an LRU dict with its
 slice of the byte budget, so eviction pressure in one shard never scans
@@ -112,18 +111,12 @@ class SubResultCache:
         """
         return self._shards[self._shard_of(key)].get(key)
 
-    def get(self, key: CacheKey, admit=None) -> Optional[CacheEntry]:
-        """LRU lookup; tallies the hit/miss.
-
-        ``admit(entry)``, when given, is asked about a dirty entry; a
-        refused entry is returned as ``None`` and tallied as a miss.
-        """
+    def get(self, key: CacheKey) -> Optional[CacheEntry]:
+        """LRU lookup; tallies the hit/miss."""
         i = self._shard_of(key)
         shard = self._shards[i]
         entry = shard.get(key)
-        if entry is None or (
-            entry.dirty is not None and admit is not None and not admit(entry)
-        ):
+        if entry is None:
             self.misses += 1
             _MISSES.add()
             return None

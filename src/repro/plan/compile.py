@@ -42,7 +42,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.executor import MODE_CODES, OpResult
 from repro.core.ops import PimOp
-from repro.core.stats import OpAccounting
+from repro.core.stats import LOCALITY_BASE, OpAccounting
 from repro.memsim.controller import FrozenBatch, freeze_batch
 
 __all__ = [
@@ -157,8 +157,7 @@ class ToHostProgram:
     """
 
     __slots__ = (
-        "frozen", "op", "n_chunks", "steps",
-        "localities", "locality_counts", "mode_code",
+        "frozen", "op", "n_chunks", "steps", "localities", "mode_code",
     )
 
     def replay(
@@ -176,16 +175,12 @@ class ToHostProgram:
         new_rows = executor.memory.bitwise_rows(op.value, operand_lists)
         executor.controller.mode_register = self.mode_code
         executor._current_mode = op
-        acct = OpAccounting()
-        acct.locality_counts = dict(self.locality_counts)
-        acct.in_memory_steps = self.steps
-        acct.absorb(executor.controller.execute_batch(self.frozen))
-        acct.count_bits(n_bits * len(sources))
-        result = OpResult(
-            op=op, accounting=acct, steps=self.steps,
-            localities=dict(self.localities),
+        acct = OpAccounting(
+            in_memory_steps=self.steps, bits_processed=n_bits * len(sources)
         )
-        return new_rows, result
+        acct.record[LOCALITY_BASE:] = self.localities
+        acct.absorb(executor.controller.execute_batch(self.frozen))
+        return new_rows, OpResult(op=op, accounting=acct, steps=self.steps)
 
 
 def build_to_host_program(
@@ -203,7 +198,6 @@ def build_to_host_program(
     prog.op = op
     prog.n_chunks = n_chunks
     prog.steps = result.steps
-    prog.localities = dict(result.localities)
-    prog.locality_counts = dict(result.accounting.locality_counts)
+    prog.localities = result.accounting.record[LOCALITY_BASE:].copy()
     prog.mode_code = MODE_CODES[op]
     return prog

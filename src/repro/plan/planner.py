@@ -132,10 +132,9 @@ def _serve_commands(batch, geometry, channel_of, dest_frames, n_bits):
 
 def _serve_result(op, stats, n_bits: int) -> OpResult:
     """The result of one served request priced at ``stats``."""
-    acct = OpAccounting()
+    acct = OpAccounting(bits_processed=n_bits)
     acct.absorb(stats)
-    acct.count_bits(n_bits)
-    return OpResult(op=op, accounting=acct, steps=0, localities={})
+    return OpResult(op=op, accounting=acct, steps=0)
 
 
 def _packed_to_host(executor, op, scratch_frames, source_frame_lists, n_bits):
@@ -169,7 +168,6 @@ class PlanStats:
         "repaired_chunks",
         "repair_latency_s",
         "repair_energy_j",
-        "repair_saved_s",
     )
 
     def __init__(self) -> None:
@@ -191,7 +189,6 @@ class PlanStats:
         self.repaired_chunks = 0
         self.repair_latency_s = 0.0
         self.repair_energy_j = 0.0
-        self.repair_saved_s = 0.0
 
     @property
     def served(self) -> int:
@@ -219,7 +216,6 @@ class PlanStats:
             "repaired_chunks": self.repaired_chunks,
             "repair_latency_s": self.repair_latency_s,
             "repair_energy_j": self.repair_energy_j,
-            "repair_saved_s": self.repair_saved_s,
         }
 
     def summary(self) -> str:
@@ -598,10 +594,7 @@ class QueryPlanner:
                 # key fixes its leaf frames, so a serve takes the
                 # primary's or the entry's instead of their union.
                 primary = wave.keys.get(key)
-                entry = (
-                    self.cache.get(key, self.repair.admit)
-                    if primary is None else None
-                )
+                entry = self.cache.get(key) if primary is None else None
                 if primary is not None or entry is not None:
                     leaves = (
                         primary.leaves if entry is None else entry.dep_frames
@@ -708,7 +701,7 @@ class QueryPlanner:
                 served = results[it.index]
                 results[it.index] = OpResult(
                     served.op, served.accounting.merged(acct),
-                    acct.in_memory_steps, {},
+                    acct.in_memory_steps,
                 )
             driver_stats = self.driver.stats
             driver_stats.accounting = driver_stats.accounting.merged_all(accts)
@@ -924,7 +917,7 @@ class QueryPlanner:
                 stats.served_energy_j += result.accounting.energy
             driver_stats = self.driver.stats
             driver_stats.accounting = driver_stats.accounting.merged_all(
-                r.accounting for r in served
+                [r.accounting for r in served]
             )
 
     def _serve_compiled(

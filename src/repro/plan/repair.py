@@ -28,12 +28,9 @@ chunk, whose last combine step programs only the flipped result cells
 (differential write) and earlier steps the full chunk.  The repair's
 cost is folded into the first serving request's result, so the read
 that pulls a repair pays for it and the write pays only its transfer;
-writes that land between two reads are repaired once.
-
-A cost gate (:meth:`RepairEngine.admit`) turns a dirty hit into a miss
--- the request executes and its result replaces the entry -- when the
-repair's estimate from the live :class:`PriceTable` exceeds recomputing
-the whole entry with the same templates (``cost_gate``).  The compiled and
+writes that land between two reads are repaired once.  A dirty hit is
+always repaired: it recomputes a subset of the chunks that executing
+the request would, with the same step templates.  The compiled and
 interpreted planners repair identically: the step templates are
 already memoized by the executor, so there is no repair program to
 cache.
@@ -51,7 +48,7 @@ from repro.core.bitops import popcount_rows
 from repro.core.ops import PimOp
 from repro.core.stats import OpAccounting
 from repro.memsim.address import OpLocality
-from repro.memsim.controller import CommandBatch, CommandKind
+from repro.memsim.controller import CommandBatch
 
 __all__ = ["FALLBACK_CAUSES", "RepairEngine"]
 
@@ -59,25 +56,19 @@ _MARKED = telemetry.counter("plan.repair.marked")
 _REPAIRS = telemetry.counter("plan.repair.repairs")
 _FALLBACKS = telemetry.counter("plan.repair.fallback_invalidations")
 _CHUNKS = telemetry.counter("plan.repair.chunks")
-#: simulated latency saved vs. recomputing the repaired entries
-_SAVED = telemetry.accumulator("plan.repair.sim_saved_s")
 
 #: why an entry falls back to invalidation (one counter each; they sum
 #: to ``plan.repair.fallback_invalidations``)
-FALLBACK_CAUSES = ("nested_child", "chunk_mismatch", "inter_chip", "cost_gate")
+FALLBACK_CAUSES = ("nested_child", "chunk_mismatch", "inter_chip")
 _FALLBACK_BY_CAUSE = {
     cause: telemetry.counter(f"plan.repair.fallback.{cause}")
     for cause in FALLBACK_CAUSES
 }
 
-#: command code -> CommandKind (codes are enum-declaration indices)
-_KIND_OF = tuple(CommandKind)
-
-#: the recompute shape of one entry, per chunk: its bits, its combine
-#: steps (``(fanin, channel, locality)`` groups; ``None`` when the
-#: chunk's operands span chips) and their serial seconds; plus the
-#: whole entry's recompute seconds
-_Shape = namedtuple("_Shape", "chunk_bits groups costs total")
+#: the recompute shape of one entry, per chunk: its bits and its
+#: combine steps (``(fanin, channel, locality)`` groups; ``None`` when
+#: the chunk's operands span chips)
+_Shape = namedtuple("_Shape", "chunk_bits groups")
 
 #: one dirty entry's repair: its op, dirty chunks (sorted), their new
 #: rows and the entry's shape
@@ -94,14 +85,12 @@ class RepairEngine:
     a dirty entry when planning serves it.
 
     Owned by one :class:`~repro.plan.planner.QueryPlanner`; its state
-    is pure cost memos.  It never writes main memory: repairs land in
-    the host-side cached rows.
+    is a memo of entry shapes.  It never writes main memory: repairs
+    land in the host-side cached rows.
     """
 
     def __init__(self, planner):
         self.planner = planner
-        #: (op, locality, channel, fanin, chunk_bits) -> serial seconds
-        self._cost_memo: Dict[tuple, float] = {}
         #: (op, n_bits, child frame bytes) -> _Shape
         self._shapes: Dict[tuple, _Shape] = {}
 
@@ -172,19 +161,7 @@ class RepairEngine:
             cache.tally_invalidations(fallbacks)
             _FALLBACKS.add(fallbacks)
 
-    # -- read time: gate and repair ------------------------------------------
-
-    def admit(self, entry) -> bool:
-        """The cost gate of a dirty hit: serve after repairing, or
-        (False, counted under ``cost_gate``) recompute the whole entry."""
-        shape = self._shape(*entry.key)
-        costs = shape.costs
-        if sum(costs[c] for c in entry.dirty) <= shape.total:
-            return True
-        _FALLBACK_BY_CAUSE["cost_gate"].add()
-        _FALLBACKS.add()
-        self.planner.stats.repair_fallbacks += 1
-        return False
+    # -- read time: repair ----------------------------------------------------
 
     def repair(self, entries) -> List[OpAccounting]:
         """Recompute every dirty chunk of ``entries`` in place, one
@@ -238,7 +215,6 @@ class RepairEngine:
             )
 
             accts = []
-            saved = 0.0
             for p, stats in zip(plans, per_entry):
                 shape = p.shape
                 acct = OpAccounting()
@@ -246,7 +222,6 @@ class RepairEngine:
                 acct.count_bits(sum(shape.chunk_bits[c] for c in p.aff))
                 acct.count_step(sum(len(shape.groups[c]) for c in p.aff))
                 accts.append(acct)
-                saved += shape.total - sum(shape.costs[c] for c in p.aff)
                 p.entry.rows[p.aff] = p.new
                 p.entry.dirty = None
 
@@ -255,13 +230,11 @@ class RepairEngine:
         stats.repaired_chunks += n_chunks
         stats.repair_latency_s += total.latency
         stats.repair_energy_j += total.energy
-        stats.repair_saved_s += saved
         _REPAIRS.add(len(plans))
         _CHUNKS.add(n_chunks)
-        _SAVED.add(saved)
         return accts
 
-    # -- shape / cost helpers ------------------------------------------------
+    # -- shape ---------------------------------------------------------------
 
     def _shape(self, op_value: str, n_bits: int, children) -> _Shape:
         """The recompute shape of an entry with this key's op, width and
@@ -273,63 +246,19 @@ class RepairEngine:
         op = PimOp.parse(op_value)
         frames = _child_frames(children)
         row_bits = self.planner.geometry.row_bits
-        chunk_bits, groups, costs = [], [], []
-        mapper = self.planner.executor.mapper
+        executor = self.planner.executor
+        mapper = executor.mapper
+        chunk_bits, groups = [], []
         for c in range(len(frames[0])):
-            bits = min(n_bits - c * row_bits, row_bits)
             operands = [fl[c] for fl in frames]
             loc = mapper.classify_frames(operands)
-            chunk_groups = None if loc is OpLocality.INTER_CHIP else tuple(
+            chunk_bits.append(min(n_bits - c * row_bits, row_bits))
+            groups.append(None if loc is OpLocality.INTER_CHIP else tuple(
                 (fanin, mapper.channel_of(operands[0]), loc)
-                for fanin in self._group_fanins(op, len(operands), loc)
-            )
-            chunk_bits.append(bits)
-            groups.append(chunk_groups)
-            costs.append(
-                float("inf") if chunk_groups is None else sum(
-                    self._group_cost(op, loc, ch, fanin, bits)
-                    for fanin, ch, loc in chunk_groups
-                )
-            )
-        shape = _Shape(tuple(chunk_bits), tuple(groups), tuple(costs), sum(costs))
+                for fanin in executor.step_fanins(op, len(operands), loc)
+            ))
+        shape = _Shape(tuple(chunk_bits), tuple(groups))
         if len(self._shapes) >= 1 << 14:  # keys embed frames
             self._shapes.clear()
         self._shapes[key] = shape
         return shape
-
-    def _group_fanins(self, op, n_ops: int, locality) -> tuple:
-        """Combine-step fan-ins of one chunk, mirroring
-        :meth:`PimExecutor._chunk_bitwise`'s decomposition."""
-        if op is PimOp.INV or n_ops == 1:
-            return (1,)
-        if locality is not OpLocality.INTRA_SUBARRAY:
-            return (n_ops,)  # buffered path: one pass over all operands
-        limit = max(2, self.planner.executor.limits.single_step_limit(op))
-        if n_ops <= limit:
-            return (n_ops,)
-        fanins = [limit]
-        rem = n_ops - limit
-        while rem > 0:
-            take = min(limit - 1, rem)
-            fanins.append(1 + take)
-            rem -= take
-        return tuple(fanins)
-
-    def _group_cost(self, op, locality, channel, fanin, chunk_bits) -> float:
-        """Serial (array + bus) seconds of one combine step, from the
-        live PriceTable.  Write-back width does not move command
-        latency (only energy), so the memo is width-free."""
-        key = (op, locality, channel, fanin, chunk_bits)
-        cost = self._cost_memo.get(key)
-        if cost is None:
-            executor = self.planner.executor
-            rows, _wb = executor._step_rows(
-                op, locality, channel, fanin, chunk_bits, False
-            )
-            price = executor.controller.price_table.price
-            cost = 0.0
-            for k, _ch, b, s, t in rows:
-                array_t, bus_t = price(_KIND_OF[k], b, s, t)[:2]
-                cost += array_t + bus_t
-            self._cost_memo[key] = cost
-        return cost

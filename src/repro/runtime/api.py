@@ -264,7 +264,7 @@ class PimRuntime:
             [handle.frames for handle in handles], n_bits
         )
         self.host_accounting = self.host_accounting.merged_all(
-            acct for _bits, acct in reads
+            [acct for _bits, acct in reads]
         )
         return [bits for bits, _acct in reads]
 

@@ -266,7 +266,7 @@ class PimDriver:
         stats = self.stats
         stats.instructions += len(results)
         stats.accounting = stats.accounting.merged_all(
-            r.accounting for r in results
+            [r.accounting for r in results]
         )
 
     def _host_fallback(self, req: PimRequest) -> OpResult:
@@ -290,7 +290,7 @@ class PimDriver:
         write_acct = self.executor.write_vector(list(req.dest.frames), out)
         acct = acct.merged(write_acct)
         acct.count_bits(req.n_bits * len(req.sources))
-        return OpResult(op=req.op, accounting=acct, steps=0, localities={})
+        return OpResult(op=req.op, accounting=acct, steps=0)
 
     def execute(
         self,

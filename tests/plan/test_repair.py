@@ -208,7 +208,6 @@ class TestRepairCorrectness:
         moved = {k: v - causes0[k] for k, v in causes().items()}
         assert moved == {
             "nested_child": 1, "chunk_mismatch": 0, "inter_chip": 0,
-            "cost_gate": 0,
         }
         fallbacks = telemetry.counter(
             "plan.repair.fallback_invalidations"

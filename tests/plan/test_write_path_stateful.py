@@ -85,8 +85,8 @@ class _Arm:
         planner = self.rt.planner
         get, serve = planner.cache.get, planner._serve
 
-        def recording_get(key, admit=None):
-            entry = get(key, admit)
+        def recording_get(key):
+            entry = get(key)
             if entry is not None and entry.dirty is not None:
                 self._looked_up_dirty[id(entry.rows)] = entry
             return entry
@@ -180,14 +180,14 @@ class WritePathMachine(RuleBasedStateMachine):
     @rule(data=st.data(), in_place=st.booleans())
     def pim_op(self, data, in_place):
         """One op into a fresh vector (kept while there is room) or over
-        a live one that is not among its operands (an in-place
-        accumulation that reads its own destination is the executor's
-        concern, not the write path's; see CHANGES.md)."""
+        a live one, which may be among its operands (an in-place
+        accumulation)."""
         op, srcs = self._draw_request(data)
         want = _oracle(op, [self.mirror[s] for s in srcs])
-        free = [i for i in range(len(self.mirror)) if i not in srcs]
-        in_place = in_place and bool(free)
-        target = data.draw(st.sampled_from(free)) if in_place else None
+        in_place = in_place and bool(self.mirror)
+        target = (
+            data.draw(st.integers(0, len(self.mirror) - 1)) if in_place else None
+        )
 
         def play(arm):
             sources = [arm.handles[s] for s in srcs]
