@@ -120,6 +120,17 @@ class OpResult:
         return self.accounting.energy
 
 
+def price_ops(controller: MemoryController, batch, n_ops: int) -> list:
+    """Each marked op's :class:`ExecutionStats` of a priced ``batch``.
+
+    A lone op is priced unsplit (its stats are the batch total), exactly
+    as a single-op call always was; a stream splits per op.
+    """
+    if n_ops == 1:
+        return [controller.execute_batch(batch)]
+    return controller.execute_batch(batch, split_ops=True)[1]
+
+
 class PinatuboExecutor:
     """Executes bulk bitwise operations on an NVM main memory."""
 
@@ -365,29 +376,59 @@ class PinatuboExecutor:
 
         Returns ``(bits, OpResult)``; nothing is written to the scratch
         row by the final step, so destination wear is avoided entirely
-        for single-step operations.
+        for single-step operations.  The one-request case of
+        :meth:`bitwise_to_host_many`.
         """
-        op, scratch, sources, n_chunks = self._validate_request(
-            op, scratch_frames, source_frame_lists, n_bits
+        ((rows, result),) = self.bitwise_to_host_many(
+            ((op, scratch_frames, source_frame_lists, n_bits),)
         )
+        # rows are contiguous chunks of the vector: flatten and truncate
+        return np.unpackbits(rows.reshape(-1), bitorder="little")[:n_bits], result
+
+    def bitwise_to_host_many(
+        self, requests: Sequence[BitwiseRequest]
+    ) -> List[Tuple[np.ndarray, OpResult]]:
+        """A stream of to-host ops as **one** command batch.
+
+        Each request is ``(op, scratch_frames, source_frame_lists,
+        n_bits)``.  Every op is one marked operation of the batch (its
+        mode switch included) and executes in issue order, exactly as
+        sequential :meth:`bitwise_to_host` calls would; the stats are
+        split back per op (:func:`price_ops`).  Returns ``(packed result
+        rows, OpResult)`` per op: ``(n_chunks, row_bytes)`` rows whose
+        bits past ``n_bits`` are padding.  Placement is validated for
+        every request before anything executes.
+        """
+        parsed = [
+            self._validate_request(*req[:4]) + (req[3],) for req in requests
+        ]
+        chunk_locs = [
+            self._prevalidate_placement(scratch, sources, n_chunks)
+            for _op, scratch, sources, n_chunks, _n in parsed
+        ]
         with telemetry.span(
-            "core.executor.bitwise_to_host", op=op.value, n_bits=n_bits
-        ) as sp:
+            "core.executor.bitwise_to_host", requests=len(parsed)
+        ):
             batch = CommandBatch()
-            total_steps, acct, rows = self._bitwise_into(
-                batch, op, scratch, sources, n_bits, n_chunks, False,
-                self._prevalidate_placement(scratch, sources, n_chunks),
-                emit_host=True,
-            )
-            acct.absorb(self.controller.execute_batch(batch))
+            emitted = []
+            for (op, scratch, sources, n_chunks, n_bits), locs in zip(
+                parsed, chunk_locs
+            ):
+                batch.mark()
+                steps, acct, rows = self._bitwise_into(
+                    batch, op, scratch, sources, n_bits, n_chunks, False,
+                    locs, emit_host=True,
+                )
+                acct.count_bits(n_bits * len(sources))
+                emitted.append((op, steps, acct, rows))
+            per_op = price_ops(self.controller, batch, len(emitted))
             if self.record_sink is not None:
                 self.record_sink.append(("to_host", batch))
-            acct.count_bits(n_bits * len(sources))
-            sp.add(steps=total_steps)
-            result = OpResult(op=op, accounting=acct, steps=total_steps)
-            # rows are contiguous chunks of the vector: flatten and truncate
-            bits = np.unpackbits(rows.reshape(-1), bitorder="little")[:n_bits]
-            return bits, result
+            out = []
+            for (op, steps, acct, rows), stats in zip(emitted, per_op):
+                acct.absorb(stats)
+                out.append((rows, OpResult(op=op, accounting=acct, steps=steps)))
+            return out
 
     # -- request validation / decomposition -----------------------------------
 

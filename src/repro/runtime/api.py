@@ -183,10 +183,24 @@ class PimRuntime:
         The paper's alternative emission path ("results can be sent to
         the I/O bus"): no destination row is programmed by the final
         step; ``scratch`` only holds intermediates when the operand list
-        decomposes.  Returns the result bits.
+        decomposes.  Returns the result bits.  The one-request case of
+        :meth:`pim_to_host_many`.
         """
-        rows, n_bits = self._bus_read(op, scratch, sources, n_bits, False)
-        return np.unpackbits(rows, count=n_bits, bitorder="little")
+        return self.pim_to_host_many(((op, scratch, sources, n_bits),))[0]
+
+    def pim_to_host_many(self, requests: Iterable[tuple]) -> List[np.ndarray]:
+        """Issue ``(op, scratch, sources[, n_bits])`` to-host ops as **one**
+        stream; returns each op's result bits, in issue order.
+
+        One command batch, one marked operation per op (priced and
+        accounted per op, in order, exactly as the same sequence of
+        :meth:`pim_op_to_host` calls), and on a planned runtime one
+        to-host program per stream shape.
+        """
+        return [
+            np.unpackbits(rows, count=n_bits, bitorder="little")
+            for rows, n_bits in self._bus_read(requests, False)
+        ]
 
     def pim_popcount(
         self, op, scratch, sources, *, n_bits: Optional[int] = None
@@ -199,38 +213,43 @@ class PimRuntime:
         set-bit count, skipping the bit unpack.  The arithmetic
         subsystem's aggregation primitive (COUNT/SUM/histogram).
         """
-        rows, n_bits = self._bus_read(op, scratch, sources, n_bits, True)
+        ((rows, n_bits),) = self._bus_read(((op, scratch, sources, n_bits),), True)
         return popcount_prefix(rows, n_bits)
 
-    def _bus_read(self, op, scratch, sources, n_bits, popcount: bool):
-        """The to-host call both bus verbs make: ``(packed rows, n_bits)``.
+    def _bus_read(self, requests, popcount: bool):
+        """The to-host stream both bus verbs issue: ``[(packed rows,
+        n_bits)]`` per request.
 
         Planned runtimes route through the kernel compiler, where the
-        call freezes into a to-host program on first sight and replays
-        it from the second.  The
-        rows hold the result's first ``n_bits`` bits, little-endian;
-        padding past them is undefined.
+        stream freezes into a to-host program on first sight and
+        replays it from the second.  The rows hold each result's first
+        ``n_bits`` bits, little-endian; padding past them is undefined.
+        Every op counts one instruction, and the ops' accountings merge
+        into the driver's in issue order.
         """
-        sources = list(sources)
-        if n_bits is None:
-            n_bits = min([scratch.n_bits] + [s.n_bits for s in sources])
-        scratch_frames = list(scratch.frames)
-        source_frame_lists = [list(s.frames) for s in sources]
+        stream = []
+        for req in requests:
+            op, scratch, sources = req[0], req[1], list(req[2])
+            n_bits = req[3] if len(req) > 3 else None
+            if n_bits is None:
+                n_bits = min([scratch.n_bits] + [s.n_bits for s in sources])
+            stream.append((op, scratch.frames, [s.frames for s in sources], n_bits))
         planner = self.planner
         if planner is not None:
             execute = (
                 planner.execute_popcount if popcount else planner.execute_to_host
             )
-            rows, result = execute(op, scratch_frames, source_frame_lists, n_bits)
+            rows, results = execute(stream)
         else:
-            bits, result = self.system.executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            rows = np.packbits(bits, bitorder="little")
+            pairs = self.system.executor.bitwise_to_host_many(stream)
+            rows = [r for r, _ in pairs]
+            results = [result for _, result in pairs]
         stats = self.driver.stats
-        stats.instructions += 1
-        stats.accounting = stats.accounting.merged(result.accounting)
-        return rows, n_bits
+        stats.instructions += len(results)
+        stats.accounting = stats.accounting.merged_all(
+            [r.accounting for r in results]
+        )
+        return [(r.reshape(-1), req[3]) for r, req in zip(rows, stream)]
 
     def pim_write(self, handle: BitVectorHandle, bits: np.ndarray) -> None:
         """Host write of a vector's contents (pays bus cost)."""
