@@ -75,7 +75,6 @@ import numpy as np
 from repro import telemetry
 from repro.arith.query import query_leaves, run_query
 from repro.plan.cache import ProgramCache
-from repro.plan.compile import NOT_STEADY
 
 __all__ = [
     "AnalyticsCompiler",
@@ -83,6 +82,7 @@ __all__ = [
     "AnalyticsRun",
     "AnalyticsStats",
     "FALLBACK_CAUSES",
+    "NOT_STEADY",
     "analytics_program_key",
 ]
 
@@ -106,6 +106,10 @@ _FALLBACK_CAUSE_COUNTERS = {
     for cause in FALLBACK_CAUSES
 }
 
+
+#: record marker: a ``(constants, entry mode)`` pair seen, and its last
+#: interpreted run was not steady
+NOT_STEADY = object()
 
 #: shapes kept per compiler (LRU)
 _MAX_PROGRAMS = 1024

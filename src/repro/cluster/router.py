@@ -46,7 +46,6 @@ from repro.cluster.placement import make_placement
 from repro.cluster.stats import ClusterStats
 from repro.service.admission import TenantQuota
 from repro.service.clock import EventLoop
-from repro.service.engine import oracle_analytics, oracle_bits
 from repro.service.request import (
     DeltaNotification,
     QueryRequest,
@@ -54,7 +53,11 @@ from repro.service.request import (
     RequestStatus,
     UpdateRequest,
 )
-from repro.service.service import BitmapQueryService, ServiceConfig
+from repro.service.service import (
+    BitmapQueryService,
+    ServiceConfig,
+    check_results,
+)
 
 __all__ = ["ClusterConfig", "ClusterNode", "ClusterRouter"]
 
@@ -513,60 +516,17 @@ class ClusterRouter:
     # -- verification --------------------------------------------------------
 
     def verify_results(self) -> int:
-        """Check every completed user *read* against the numpy oracle.
+        """Check every completed user *read* against the numpy oracle
+        (see :func:`~repro.service.service.check_results`).
 
         The oracle runs on the tenant's primary engine (replicas hold
         identical shadows by construction); gathered range results
-        verify against the original, un-split request.  Same final-state
-        caveat as ``BitmapQueryService.verify_results``.
+        verify against the original, un-split request.
         """
-        checked = 0
-        for result in self.results:
-            if result.status is not RequestStatus.COMPLETED:
-                continue
-            if result.request.kind in ("update", "subscribe"):
-                continue
-            primary = self._placement_of(result.request.tenant).owners[0]
-            if result.request.kind == "analytics":
-                mask, value, groups = oracle_analytics(
-                    self.nodes[primary].service.engine,
-                    result.request.tenant,
-                    result.request.filters,
-                    result.request.aggregate,
-                )
-                if (
-                    result.popcount != int(mask.sum())
-                    or result.value != value
-                    or result.groups != groups
-                ):
-                    raise AssertionError(
-                        f"analytics request {result.request.request_id}: "
-                        f"got (popcount={result.popcount}, "
-                        f"value={result.value}, groups={result.groups}), "
-                        f"oracle ({int(mask.sum())}, {value}, {groups})"
-                    )
-                checked += 1
-                continue
-            expected = oracle_bits(
-                self.nodes[primary].service.engine,
-                result.request.tenant,
-                result.request.op,
-                result.request.vectors,
-            )
-            if result.popcount != int(expected.sum()):
-                raise AssertionError(
-                    f"request {result.request.request_id}: popcount "
-                    f"{result.popcount} != oracle {int(expected.sum())}"
-                )
-            if result.bits is not None and not np.array_equal(
-                result.bits, expected
-            ):
-                raise AssertionError(
-                    f"request {result.request.request_id}: bits differ "
-                    f"from the numpy oracle"
-                )
-            checked += 1
-        return checked
+        return check_results(
+            self.results,
+            lambda t: self.nodes[self._placement_of(t).owners[0]].service.engine,
+        )
 
     def verify_replicas(self) -> int:
         """Assert every replica holds byte-identical host shadows.

@@ -83,9 +83,9 @@ class PlacementError(RuntimeError):
     """Operands placed so the operation cannot execute in memory."""
 
 
-#: row I/O templates kept per executor before the cache is dropped
-#: (keys are (shape, n_bits, per-row channels); the set is open-ended)
-_MAX_ROW_TEMPLATES = 4096
+#: row I/O templates, and frame runs' channel layouts, kept per executor
+#: before each memo is dropped (both key sets are open-ended)
+_MAX_ROW_MEMO = 8192
 
 #: MR4 mode codes per PIM operation (paper Fig. 4 hardware control).
 MODE_CODES = {PimOp.OR: 0b001, PimOp.AND: 0b010, PimOp.XOR: 0b011, PimOp.INV: 0b100}
@@ -152,8 +152,10 @@ class PinatuboExecutor:
         self._current_mode: Optional[PimOp] = None
         #: combine-step command templates, see :meth:`_step_rows`
         self._step_templates: Dict[tuple, tuple] = {}
-        #: host row-transfer templates, see :meth:`_row_template`
+        #: host row-transfer templates and the frame runs' packed
+        #: channel layouts they are keyed on, see :meth:`_row_template`
         self._row_templates: Dict[tuple, FrozenBatch] = {}
+        self._frame_channels: Dict[tuple, bytes] = {}
         #: when set (a list), every bulk op appends its finished command
         #: batch as a ``(flavor, batch)`` tuple so the kernel
         #: compiler (:mod:`repro.plan.compile`) can freeze them
@@ -238,14 +240,31 @@ class PinatuboExecutor:
         """The memo-priced row I/O template of a transfer of ``n_bits``
         bits over ``frames`` (exactly the rows it uses), cached per
         ``(shape, n_bits, per-row channels)``; raises on a frame out of
-        range."""
-        key = (shape, n_bits, tuple(map(self.mapper.channel_of, frames)))
+        range.  A ``"serve"`` is a served cache result's row-buffer
+        read, ``"read"`` and ``"write"`` a host transfer over the bus.
+
+        A frame run's channel layout is geometry, not state, and scratch
+        and resident vectors reuse the same runs, so it is memoized per
+        run as well.
+        """
+        if type(frames) is not tuple:
+            frames = tuple(frames)
+        channels = self._frame_channels.get(frames)
+        if channels is None:
+            if len(self._frame_channels) >= _MAX_ROW_MEMO:
+                self._frame_channels.clear()
+            channel_of = self.mapper.channel_of
+            channels = self._frame_channels[frames] = np.array(
+                [channel_of(f) for f in frames], dtype=np.intp
+            ).tobytes()
+        key = (shape, n_bits, channels)
         template = self._row_templates.get(key)
         if template is None:
-            if len(self._row_templates) >= _MAX_ROW_TEMPLATES:
+            if len(self._row_templates) >= _MAX_ROW_MEMO:
                 self._row_templates.clear()
             template = self._row_templates[key] = row_io_template(
-                self.geometry, shape, n_bits, key[2]
+                self.geometry, shape, n_bits,
+                np.frombuffer(channels, dtype=np.intp),
             )
         return template
 

@@ -42,8 +42,6 @@ channels overlap).
 from __future__ import annotations
 
 import enum
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -192,7 +190,7 @@ class ExecutionStats:
 
 
 # ---------------------------------------------------------------------------
-# engine performance instrumentation (REPRO_PERF_DEBUG=1)
+# engine performance instrumentation
 # ---------------------------------------------------------------------------
 
 
@@ -206,7 +204,6 @@ class PerfCounters:
     streams: int = 0  # execute calls
     cache_hits: int = 0  # scalar price-cache hits
     cache_misses: int = 0
-    wall_s: float = 0.0  # time spent inside the pricing engine
 
     @property
     def commands_priced(self) -> int:
@@ -226,7 +223,6 @@ class PerfCounters:
             "streams": self.streams,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "wall_s": self.wall_s,
             "commands_priced": self.commands_priced,
             "cache_hit_rate": self.cache_hit_rate,
         }
@@ -237,18 +233,11 @@ class PerfCounters:
             f"[repro-perf] priced {self.commands_priced} commands "
             f"({self.scalar_commands} scalar / {self.streams} streams, "
             f"{self.batch_commands} batched / {self.batches} batches), "
-            f"price-cache hit rate {100.0 * self.cache_hit_rate:.1f}%, "
-            f"engine wall {self.wall_s:.3f}s"
+            f"price-cache hit rate {100.0 * self.cache_hit_rate:.1f}%"
         )
 
 
-PERF_DEBUG: bool = os.environ.get("REPRO_PERF_DEBUG", "") not in ("", "0")
 perf_counters = PerfCounters()
-
-if PERF_DEBUG:  # pragma: no cover - environment-dependent
-    # Legacy knob: routes through the opt-in telemetry exit report
-    # instead of registering its own atexit hook.
-    telemetry.report_at_exit()
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +644,6 @@ class MemoryController:
         additive for commands with both (RD/WR), which is the conservative
         closed-page assumption.
         """
-        t0 = time.perf_counter() if PERF_DEBUG else 0.0
         with telemetry.span("memsim.controller.execute") as sp:
             stats = ExecutionStats()
             per_channel: Dict[int, float] = {}
@@ -678,8 +666,6 @@ class MemoryController:
             stats.energy += bus.energy
             perf_counters.scalar_commands += len(commands)
             perf_counters.streams += 1
-            if PERF_DEBUG:
-                perf_counters.wall_s += time.perf_counter() - t0
             sp.add(
                 latency_s=stats.latency,
                 energy_j=stats.energy,
@@ -712,7 +698,6 @@ class MemoryController:
         Memoized returns are shared objects; callers must not mutate
         them (no caller of this API does).
         """
-        t0 = time.perf_counter() if PERF_DEBUG else 0.0
         n = len(batch)
         if n == 0:
             empty = ExecutionStats()
@@ -732,8 +717,6 @@ class MemoryController:
                     self.buses[ch].account(n_cmds, n_bytes, bus_t, bus_e)
                 perf_counters.batch_commands += n
                 perf_counters.batches += 1
-                if PERF_DEBUG:
-                    perf_counters.wall_s += time.perf_counter() - t0
                 sp.add(
                     latency_s=stats.latency,
                     energy_j=stats.energy,
@@ -809,8 +792,6 @@ class MemoryController:
 
             perf_counters.batch_commands += n
             perf_counters.batches += 1
-            if PERF_DEBUG:
-                perf_counters.wall_s += time.perf_counter() - t0
             sp.add(
                 latency_s=stats.latency,
                 energy_j=stats.energy,

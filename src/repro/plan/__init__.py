@@ -4,14 +4,16 @@ The layer between the applications/serving tier and the batched driver
 path: :class:`QueryPlanner` compiles each request stream into a
 canonical operand DAG, eliminates common sub-expressions within a
 coalesced wave and across the whole request stream, and serves repeated
-sub-results out of a write-invalidated :class:`SubResultCache` at the
-price of a row-buffer read instead of a full in-memory execution.
+sub-results out of a write-invalidated :class:`SubResultCache` (one LRU
+under one byte budget) at the price of a row-buffer read instead of a
+full in-memory execution.
 
 Every exec wave runs through the driver's row-parallel flush.  What
-recurs around it compiles (:mod:`repro.plan.compile`): to-host calls
-freeze into :class:`ToHostProgram` replays, served results price a
-per-shape serve template, and analytics queries replay their own
-recorded programs -- byte-identical simulated cost, less host
+recurs around it compiles: to-host streams freeze into
+:class:`ToHostProgram` replays (:mod:`repro.plan.compile`), served
+results price the executor's ``"serve"`` row I/O template (the cache
+host reads and writes price from), and analytics queries replay their
+own recorded programs -- byte-identical simulated cost, less host
 wall-clock.  Programs live in a :class:`ProgramCache` keyed by
 canonical shape.
 

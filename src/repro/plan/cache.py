@@ -1,4 +1,4 @@
-"""The sharded, write-versioned sub-result cache.
+"""The write-versioned sub-result cache.
 
 Entries are keyed by the planner's canonical expression key, the
 tuple ``(op, n_bits, children)`` (see :mod:`repro.plan.planner`): each
@@ -18,9 +18,8 @@ key at the new versions and records which chunks went stale in the
 entry's ``dirty`` slot.  A dirty entry is repaired -- its stale chunks
 recomputed -- when a lookup next serves it.
 
-The store is sharded by key hash; each shard is an LRU dict with its
-slice of the byte budget, so eviction pressure in one shard never scans
-the others.
+The store is one LRU dict under one byte budget: an insert that
+overflows it evicts least-recently-used entries until it fits.
 """
 
 from __future__ import annotations
@@ -69,18 +68,14 @@ class CacheEntry:
 
 
 class SubResultCache:
-    """Sharded LRU store of materialised sub-expression results."""
+    """LRU store of materialised sub-expression results."""
 
-    def __init__(self, max_bytes: int = 64 << 20, shards: int = 8):
+    def __init__(self, max_bytes: int = 64 << 20):
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
-        if shards < 1:
-            raise ValueError("shards must be positive")
         self.max_bytes = max_bytes
-        self.n_shards = shards
-        self._shard_budget = max(1, max_bytes // shards)
-        self._shards: List[OrderedDict] = [OrderedDict() for _ in range(shards)]
-        self._shard_bytes = [0] * shards
+        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        self.bytes_used = 0
         #: frame -> keys of entries whose expression reads that frame
         self._frame_index: Dict[int, Set[CacheKey]] = {}
         self.hits = 0
@@ -88,17 +83,8 @@ class SubResultCache:
         self.evictions = 0
         self.invalidations = 0
 
-    # -- capacity ------------------------------------------------------------
-
     def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    @property
-    def bytes_used(self) -> int:
-        return sum(self._shard_bytes)
-
-    def _shard_of(self, key: CacheKey) -> int:
-        return hash(key) % self.n_shards
+        return len(self._entries)
 
     # -- lookup / insert -----------------------------------------------------
 
@@ -109,18 +95,16 @@ class SubResultCache:
         :meth:`get`); tests use this to inspect the store without
         disturbing its tallies or LRU order.
         """
-        return self._shards[self._shard_of(key)].get(key)
+        return self._entries.get(key)
 
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
         """LRU lookup; tallies the hit/miss."""
-        i = self._shard_of(key)
-        shard = self._shards[i]
-        entry = shard.get(key)
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             _MISSES.add()
             return None
-        shard.move_to_end(key)
+        self._entries.move_to_end(key)
         self.hits += 1
         _HITS.add()
         return entry
@@ -135,20 +119,20 @@ class SubResultCache:
     ) -> bool:
         """Insert (or refresh) one sub-result; False if it cannot fit."""
         entry = CacheEntry(key, rows, n_bits, frozenset(dep_frames), dirty)
-        i = self._shard_of(key)
-        if entry.nbytes > self._shard_budget:
+        if entry.nbytes > self.max_bytes:
             return False
-        old = self._shards[i].pop(key, None)
+        entries = self._entries
+        old = entries.pop(key, None)
         if old is not None:
-            self._shard_bytes[i] -= old.nbytes
+            self.bytes_used -= old.nbytes
             self._unindex(old)
-        self._shards[i][key] = entry
-        self._shard_bytes[i] += entry.nbytes
+        entries[key] = entry
+        self.bytes_used += entry.nbytes
         for frame in entry.dep_frames:
             self._frame_index.setdefault(frame, set()).add(key)
-        while self._shard_bytes[i] > self._shard_budget:
-            _evicted_key, evicted = self._shards[i].popitem(last=False)
-            self._shard_bytes[i] -= evicted.nbytes
+        while self.bytes_used > self.max_bytes:
+            _evicted_key, evicted = entries.popitem(last=False)
+            self.bytes_used -= evicted.nbytes
             self._unindex(evicted)
             self.evictions += 1
             _EVICTIONS.add()
@@ -163,36 +147,6 @@ class SubResultCache:
                     del self._frame_index[frame]
 
     # -- invalidation --------------------------------------------------------
-
-    def invalidate_frame(self, frame: int) -> int:
-        """Drop every entry whose expression reads ``frame``.
-
-        Version-carrying keys already make stale entries unreachable;
-        this reclaims their bytes the moment the write happens and
-        counts the invalidation.  Returns the number of entries dropped.
-        """
-        keys = self._frame_index.pop(frame, None)
-        if not keys:
-            return 0
-        dropped = 0
-        for key in keys:
-            i = self._shard_of(key)
-            entry = self._shards[i].pop(key, None)
-            if entry is None:
-                continue
-            self._shard_bytes[i] -= entry.nbytes
-            for other in entry.dep_frames:
-                if other != frame:
-                    other_keys = self._frame_index.get(other)
-                    if other_keys is not None:
-                        other_keys.discard(key)
-                        if not other_keys:
-                            del self._frame_index[other]
-            dropped += 1
-        if dropped:
-            self.invalidations += dropped
-            _INVALIDATIONS.add(dropped)
-        return dropped
 
     def pop_frames(self, frames: Iterable[int]) -> List[CacheEntry]:
         """Remove and return every entry reading any of ``frames``.
@@ -213,12 +167,12 @@ class SubResultCache:
             if hit:
                 keys |= hit
         popped: List[CacheEntry] = []
+        entries = self._entries
         for key in sorted(keys):
-            i = self._shard_of(key)
-            entry = self._shards[i].pop(key, None)
+            entry = entries.pop(key, None)
             if entry is None:  # pragma: no cover - index is kept exact
                 continue
-            self._shard_bytes[i] -= entry.nbytes
+            self.bytes_used -= entry.nbytes
             self._unindex(entry)
             popped.append(entry)
         return popped
@@ -235,12 +189,6 @@ class SubResultCache:
         self.tally_invalidations(dropped)
         return dropped
 
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-        self._shard_bytes = [0] * self.n_shards
-        self._frame_index.clear()
-
     # -- stats ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -249,7 +197,6 @@ class SubResultCache:
             "entries": len(self),
             "bytes_used": self.bytes_used,
             "max_bytes": self.max_bytes,
-            "shards": self.n_shards,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -315,9 +262,6 @@ class ProgramCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def to_dict(self) -> dict:
         """JSON-ready tallies of this cache instance."""

@@ -1,37 +1,32 @@
-"""Program compiler: recurring planner shapes lowered to frozen batches.
+"""Program compiler: recurring to-host streams lowered to frozen batches.
 
 Every planned exec wave runs through the driver's row-parallel flush
-(one gather, one ``ufunc`` pass and one ``write_frames`` per op), so
-what is left to compile is the work around it whose *shape* -- command
-kinds, channels, step counts, segment fences -- is a pure function of a
-canonical key while its Python-side cost is per call:
+(one gather, one ``ufunc`` pass and one ``write_frames`` per op), and
+every served result prices the executor's ``"serve"`` row I/O template
+(:func:`~repro.memsim.controller.row_io_template`), so what is left to
+compile is the to-host stream, whose *shape* -- command kinds,
+channels, step counts, segment fences -- is a pure function of a
+canonical key while its Python-side cost is per call.
 
-- :class:`ToHostProgram`: a to-host stream (``pim_to_host_many`` and
-  its one-request cases ``pim_op_to_host`` and ``pim_popcount``)
-  freezes on first sight.  The interpreted stream is *recorded*
-  (``PinatuboExecutor.record_sink``) and its command batch -- one
-  marked op per request -- snapshotted as a **frozen batch**: the
-  columns as preallocated numpy arrays that duck-type
-  :class:`~repro.memsim.controller.CommandBatch`, so replay re-prices
-  through the *real* ``MemoryController.execute_batch`` -- simulated
-  latency/energy is byte-identical to the interpreted path by
-  construction -- while the functional results come from one gather
-  of every op's operand rows;
-- :class:`ServeTemplate`: a served cache result's row-buffer read for
-  one ``(n_bits, per-chunk channels)`` shape: the controller's
-  ``"serve"`` row I/O template
-  (:func:`~repro.memsim.controller.row_io_template`, no recording) and
-  a shared result per op.
+A :class:`ToHostProgram` (``pim_to_host_many`` and its one-request
+cases ``pim_op_to_host`` and ``pim_popcount``) freezes on first sight.
+The interpreted stream is *recorded* (``PinatuboExecutor.record_sink``)
+and its command batch -- one marked op per request -- snapshotted as a
+**frozen batch**: the columns as preallocated numpy arrays that
+duck-type :class:`~repro.memsim.controller.CommandBatch`, so replay
+re-prices through the *real* ``MemoryController.execute_batch`` --
+simulated latency/energy is byte-identical to the interpreted path by
+construction -- while the functional results come from one gather of
+every op's operand rows.
 
 Programs are keyed by canonical shape (a stream's ops'
-:func:`to_host_shape_key` tuple) and are **frame-agnostic**: operands resolve to the call's actual row
-frames at replay time.  Write invalidation needs no program-level hook
--- a to-host program writes nothing and re-reads its operands on every
-replay.  Calls a program cannot replay (ones that ran accumulation
-passes, whose scratch writes are not replayed) are marked
-:data:`UNCOMPILABLE` and stay interpreted forever; inter-chip shapes
-get no key at all.  The analytics compiler (``arith/compile.py``)
-marks pairs whose last run was not steady with :data:`NOT_STEADY`.
+:func:`to_host_shape_key` tuple) and are **frame-agnostic**: operands
+resolve to the call's actual row frames at replay time.  Write
+invalidation needs no program-level hook -- a to-host program writes
+nothing and re-reads its operands on every replay.  Calls a program
+cannot replay (ones that ran accumulation passes, whose scratch writes
+are not replayed) are marked :data:`UNCOMPILABLE` and stay interpreted
+forever; inter-chip shapes get no key at all.
 """
 
 from __future__ import annotations
@@ -44,12 +39,10 @@ from repro import telemetry
 from repro.core.executor import MODE_CODES, OpResult, price_ops
 from repro.core.ops import BITWISE_UFUNCS, PimOp
 from repro.core.stats import LOCALITY_BASE, OpAccounting
-from repro.memsim.controller import FrozenBatch, freeze_batch
+from repro.memsim.controller import freeze_batch
 
 __all__ = [
-    "NOT_STEADY",
     "UNCOMPILABLE",
-    "ServeTemplate",
     "ToHostProgram",
     "build_to_host_program",
     "to_host_shape_key",
@@ -62,21 +55,8 @@ UNCOMPILABLE_SHAPES = telemetry.counter("plan.compile.uncompilable")
 COMPILE_SECONDS = telemetry.accumulator("plan.compile.seconds")
 
 
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self._name}>"
-
-
-#: record marker: a ``(constants, entry mode)`` pair seen, and its last
-#: interpreted run was not steady (the analytics compiler's records)
-NOT_STEADY = _Sentinel("not-steady")
 #: program-cache marker: shape needs interpreted semantics forever
-UNCOMPILABLE = _Sentinel("uncompilable")
+UNCOMPILABLE = object()
 
 
 # -- shape keys ---------------------------------------------------------------
@@ -118,28 +98,6 @@ def to_host_shape_key(
         channels.tobytes(),
         codes.tobytes(),
     )
-
-
-# -- serve templates ----------------------------------------------------------
-
-
-class ServeTemplate:
-    """One served result's row-buffer read, for a ``(n_bits, per-chunk
-    channels)`` shape.
-
-    ``frozen`` is the memo-priced ``"serve"`` row I/O template,
-    column-for-column what :func:`repro.plan.planner._serve_commands`
-    emits, as one marked operation: per chunk a fenced ACT / PIM_SENSE
-    / PRE on the destination's channel.  Its pricing is a pure function
-    of those columns, so ``results`` keeps, per op, the shared
-    read-only ``OpResult`` every serve of the shape returns.
-    """
-
-    __slots__ = ("frozen", "results")
-
-    def __init__(self, frozen: FrozenBatch):
-        self.frozen = frozen
-        self.results = {}
 
 
 # -- to-host programs ---------------------------------------------------------

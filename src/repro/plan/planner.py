@@ -67,7 +67,6 @@ Correctness invariants:
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import partial
 from itertools import chain
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -78,7 +77,7 @@ from repro import telemetry
 from repro.core.executor import OpResult
 from repro.core.ops import PimOp
 from repro.core.stats import OpAccounting
-from repro.memsim.controller import CommandBatch, CommandKind, row_io_template
+from repro.memsim.controller import CommandBatch, CommandKind
 from repro.plan.cache import ProgramCache, SubResultCache
 from repro.plan.compile import (
     COMPILATIONS,
@@ -87,7 +86,6 @@ from repro.plan.compile import (
     PROGRAM_MISSES,
     UNCOMPILABLE,
     UNCOMPILABLE_SHAPES,
-    ServeTemplate,
     build_to_host_program,
     to_host_shape_key,
 )
@@ -135,13 +133,6 @@ def _serve_result(op, stats, n_bits: int) -> OpResult:
     acct = OpAccounting(bits_processed=n_bits)
     acct.absorb(stats)
     return OpResult(op=op, accounting=acct, steps=0)
-
-
-def _interpret_to_host(executor, stream):
-    """Interpreted to-host stream in the program replay's form:
-    ``(packed rows per op, OpResult per op)``."""
-    pairs = executor.bitwise_to_host_many(stream)
-    return [rows for rows, _ in pairs], [result for _, result in pairs]
 
 
 class PlanStats:
@@ -300,14 +291,13 @@ class QueryPlanner:
         self,
         driver: PimDriver,
         cache_bytes: int = 64 << 20,
-        cache_shards: int = 8,
         compile: bool = True,
     ):
         self.driver = driver
         self.executor = driver.executor
         self.geometry = self.executor.geometry
         self.memory = self.executor.memory
-        self.cache = SubResultCache(cache_bytes, cache_shards)
+        self.cache = SubResultCache(cache_bytes)
         #: ``compile=False`` is the priced interpreter: to-host calls
         #: and serves interpreted, the reference the differential
         #: suites compare against (identical results and pricing, just
@@ -316,8 +306,10 @@ class QueryPlanner:
         self.compile_enabled = bool(compile)
         #: to-host shape key -> ToHostProgram, or UNCOMPILABLE
         self.programs = ProgramCache()
-        #: (n_bits, channels bytes) -> ServeTemplate
-        self._serve_templates: Dict[tuple, object] = {}
+        #: (serve row I/O template, op) -> the shared read-only result
+        #: of every serve priced from that template (pricing is a pure
+        #: function of the template's columns)
+        self._serve_results: Dict[tuple, OpResult] = {}
         self.stats = PlanStats()
         #: authoritative write versions, dense per frame (row counts are
         #: modest even for the 64 GiB geometry -- capacity lives in row
@@ -333,12 +325,10 @@ class QueryPlanner:
         #: vid -> [n_chunks, frames, stamp, leaf key, leaf frames] --
         #: raw-operand key memo
         self._leaf_keys: "OrderedDict[int, list]" = OrderedDict()
-        #: frames tuple -> packed channel layout; pure (the mapping is
-        #: geometry, not state) and scratch frames rotate through a
-        #: finite pool, so the same tuples recur indefinitely
-        self._chan_bytes: Dict[tuple, bytes] = {}
-        #: raw to-host operand identity -> shape key (same purity
-        #: argument; ``None`` marks shapes the compiler rejects)
+        #: raw to-host operand identity -> shape key: pure (the mapping
+        #: is geometry, not state) and scratch frames rotate through a
+        #: finite pool, so the same operands recur indefinitely
+        #: (``None`` marks shapes the compiler rejects)
         self._to_host_keys: Dict[tuple, Optional[tuple]] = {}
         #: (op, n_bits, child keys in submission order) -> canonical
         #: request key, skipping the per-request sort of recurring
@@ -547,15 +537,6 @@ class QueryPlanner:
             self._wave_depth -= 1
         return results
 
-    def _channels_bytes(self, frames: tuple) -> bytes:
-        chan = self._chan_bytes.get(frames)
-        if chan is None:
-            if len(self._chan_bytes) >= 8192:
-                self._chan_bytes.clear()
-            chan = self.executor.mapper.channels_of(frames).tobytes()
-            self._chan_bytes[frames] = chan
-        return chan
-
     def _canon(self, op, n_bits: int, children: list) -> tuple:
         """Canonical request key, memoized on the submission-order
         children (recurring operand combinations skip the sort)."""
@@ -758,46 +739,6 @@ class QueryPlanner:
             )
         return driver.flush()
 
-    def _compiled(self, key, replay, interpret, build):
-        """The to-host compile lifecycle.
-
-        A shape's first sighting interprets with the executor's record
-        sink attached and lowers the recording with ``build(recorded,
-        interpreted result)`` -- into a program, or an ``UNCOMPILABLE``
-        mark that keeps the shape interpreted forever.  Every later
-        sighting replays the program: same memory effects,
-        byte-identical pricing through its frozen command batch.
-        """
-        entry = self.programs.get(key)
-        if entry is not None and entry is not UNCOMPILABLE:
-            PROGRAM_HITS.add()
-            self.stats.program_hits += 1
-            return replay(entry)
-        PROGRAM_MISSES.add()
-        self.stats.program_misses += 1
-        if entry is UNCOMPILABLE:
-            return interpret()
-        executor = self.executor
-        executor.record_sink = recorded = []
-        try:
-            out = interpret()
-        finally:
-            executor.record_sink = None
-        with telemetry.span("plan.compile.program", kind="to_host"):
-            t0 = perf_counter()
-            program = build(recorded, out)
-            dt = perf_counter() - t0
-        COMPILE_SECONDS.add(dt)
-        self.stats.compile_seconds += dt
-        if program is None:
-            UNCOMPILABLE_SHAPES.add()
-            self.programs.put(key, UNCOMPILABLE)
-        else:
-            COMPILATIONS.add()
-            self.stats.compilations += 1
-            self.programs.put(key, program)
-        return out
-
     def execute_to_host(
         self, stream: Sequence[tuple]
     ) -> Tuple[List[np.ndarray], List[OpResult]]:
@@ -826,51 +767,86 @@ class QueryPlanner:
         return self._to_host(stream)
 
     def _to_host(self, stream):
+        """The to-host compile lifecycle.
+
+        A compilable stream's first sighting interprets with the
+        executor's record sink attached and lowers the recording into a
+        :class:`~repro.plan.compile.ToHostProgram`, or an
+        ``UNCOMPILABLE`` mark that keeps the shape interpreted forever.
+        Every later sighting replays the program: same memory effects,
+        byte-identical pricing through its frozen command batch.
+        """
         executor = self.executor
         stream = [
             (PimOp.parse(op), scratch, sources, n_bits)
             for op, scratch, sources, n_bits in stream
         ]
-        interpret = partial(_interpret_to_host, executor, stream)
         # scratch intermediates written by interpreted accumulation
         # passes are wave-internal: keep every write inside on eager
         # invalidation (program replays write nothing, so the guard is
         # inert on the compiled fast path)
         self._wave_depth += 1
         try:
-            if not self.compile_enabled:
-                return interpret()
-            # an op's shape key is geometry-pure, so memo it by raw
-            # operand identity: scratch rotates through a finite pool
-            # and the same frame tuples recur indefinitely.  The stream's
-            # key is its ops' keys, each op entering in the mode the one
-            # before it left.
-            memo = self._to_host_keys
-            mode = executor._current_mode
-            keys = []
-            for op, scratch, sources, n_bits in stream:
-                raw = (op, n_bits, mode, tuple(scratch), tuple(map(tuple, sources)))
-                key = memo.get(raw)
-                if key is None and raw not in memo:
-                    key = to_host_shape_key(
-                        executor.mapper, op, scratch, sources, n_bits,
-                        self.geometry.rows_for_bits(n_bits), mode,
+            key = recorded = None
+            if self.compile_enabled:
+                # an op's shape key is geometry-pure, so memo it by raw
+                # operand identity.  The stream's key is its ops' keys,
+                # each op entering in the mode the one before it left;
+                # an inter-chip op leaves the stream without one.
+                memo = self._to_host_keys
+                mode = executor._current_mode
+                keys = []
+                for op, scratch, sources, n_bits in stream:
+                    raw = (op, n_bits, mode, tuple(scratch),
+                           tuple(map(tuple, sources)))
+                    op_key = memo.get(raw)
+                    if op_key is None and raw not in memo:
+                        op_key = to_host_shape_key(
+                            executor.mapper, op, scratch, sources, n_bits,
+                            self.geometry.rows_for_bits(n_bits), mode,
+                        )
+                        if len(memo) >= _MAX_BINDINGS:
+                            memo.clear()
+                        memo[raw] = op_key
+                    if op_key is None:
+                        break
+                    keys.append(op_key)
+                    mode = op
+                else:
+                    key = tuple(keys)
+            if key is not None:
+                program = self.programs.get(key)
+                if program is not None and program is not UNCOMPILABLE:
+                    PROGRAM_HITS.add()
+                    self.stats.program_hits += 1
+                    return program.replay(executor, stream)
+                PROGRAM_MISSES.add()
+                self.stats.program_misses += 1
+                if program is None:
+                    executor.record_sink = recorded = []
+            try:
+                pairs = executor.bitwise_to_host_many(stream)
+            finally:
+                executor.record_sink = None
+            rows = [r for r, _ in pairs]
+            results = [result for _, result in pairs]
+            if recorded is not None:
+                with telemetry.span("plan.compile.program", kind="to_host"):
+                    t0 = perf_counter()
+                    program = build_to_host_program(
+                        recorded, stream, results, self.geometry
                     )
-                    if len(memo) >= _MAX_BINDINGS:
-                        memo.clear()
-                    memo[raw] = key
-                if key is None:  # inter-chip placement
-                    return interpret()
-                keys.append(key)
-                mode = op
-            return self._compiled(
-                tuple(keys),
-                lambda program: program.replay(executor, stream),
-                interpret,
-                lambda recorded, out: build_to_host_program(
-                    recorded, stream, out[1], self.geometry
-                ),
-            )
+                    dt = perf_counter() - t0
+                COMPILE_SECONDS.add(dt)
+                self.stats.compile_seconds += dt
+                if program is None:
+                    UNCOMPILABLE_SHAPES.add()
+                    self.programs.put(key, UNCOMPILABLE)
+                else:
+                    COMPILATIONS.add()
+                    self.stats.compilations += 1
+                    self.programs.put(key, program)
+            return rows, results
         finally:
             self._wave_depth -= 1
 
@@ -924,31 +900,29 @@ class QueryPlanner:
     def _serve_compiled(
         self, serve_items: List[_Item], primary_rows: Dict[int, np.ndarray]
     ) -> List[OpResult]:
-        """Template-driven serve path: every item prices its template's
-        memoized frozen batch (a pure function of ``(n_bits, per-chunk
-        channels)``, see :class:`~repro.plan.compile.ServeTemplate`) and
-        returns the template's shared result, and the destination rows
-        land in one :meth:`MainMemory.write_frames` pass."""
-        templates = self._serve_templates
+        """Template-driven serve path: every item prices the executor's
+        memo-priced ``"serve"`` row I/O template of its ``(n_bits,
+        per-chunk channels)`` -- column for column what
+        :func:`_serve_commands` emits -- and returns the template's
+        shared result, and the destination rows land in one
+        :meth:`MainMemory.write_frames` pass."""
+        row_template = self.executor._row_template
         execute_batch = self.executor.controller.execute_batch
+        memo = self._serve_results
         frames_all: List[int] = []
         rows_parts = []
         served = []
         for it in serve_items:
             op, n_bits = it.req.op, it.req.n_bits
-            chan = self._channels_bytes(it.dest_frames)
-            tmpl = templates.get((n_bits, chan))
-            if tmpl is None:
-                tmpl = templates[(n_bits, chan)] = ServeTemplate(
-                    row_io_template(
-                        self.geometry, "serve", n_bits,
-                        self.executor.mapper.channels_of(it.dest_frames),
-                    )
-                )
-            _total, (item_stats,) = execute_batch(tmpl.frozen, split_ops=True)
-            result = tmpl.results.get(op)
+            template = row_template("serve", n_bits, it.dest_frames)
+            _total, (item_stats,) = execute_batch(template, split_ops=True)
+            result = memo.get((template, op))
             if result is None:
-                result = tmpl.results[op] = _serve_result(op, item_stats, n_bits)
+                if len(memo) >= _MAX_BINDINGS:
+                    memo.clear()
+                result = memo[(template, op)] = _serve_result(
+                    op, item_stats, n_bits
+                )
             served.append(result)
             frames_all.extend(it.dest_frames)
             rows = it.rows if it.rows is not None else primary_rows[id(it.primary)]

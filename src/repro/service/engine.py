@@ -54,7 +54,7 @@ from repro.arith.kernels import (  # noqa: F401
     masked_sum,
 )
 from repro.arith.oracle import oracle_compare_const
-from repro.service.request import bin_vector_name, bitslice_vector_name
+from repro.service.request import spec_vector_names
 
 __all__ = [
     "ExecutedCall",
@@ -413,18 +413,7 @@ class ResidentPimEngine(ServiceEngine):
         )
 
         def resolve(spec) -> list:
-            kind, column = spec[0], spec[1]
-            if kind == "cmp":
-                names = [bitslice_vector_name(column, j) for j in range(spec[4])]
-            elif kind == "sum":
-                names = [bitslice_vector_name(column, j) for j in range(spec[2])]
-            elif kind == "range":
-                names = [
-                    bin_vector_name(column, b) for b in range(spec[2], spec[3] + 1)
-                ]
-            else:  # hist
-                names = [bin_vector_name(column, b) for b in range(spec[2])]
-            return [handles[(tenant, name)] for name in names]
+            return [handles[(tenant, name)] for name in spec_vector_names(spec)]
 
         return pool, resolve
 
@@ -589,14 +578,8 @@ def oracle_bits(
     return bitwise_oracle(op, [o[:n_bits] for o in operands])
 
 
-def _oracle_column(
-    engine: ServiceEngine, tenant: str, column: str, n_bits: int
-) -> np.ndarray:
+def _oracle_column(planes) -> np.ndarray:
     """Recompose a bit-sliced column's values from its plane shadows."""
-    planes = [
-        engine.host_vector(tenant, bitslice_vector_name(column, j))
-        for j in range(n_bits)
-    ]
     n = min(p.size for p in planes)
     values = np.zeros(n, dtype=np.int64)
     for j, plane in enumerate(planes):
@@ -612,51 +595,40 @@ def oracle_analytics(
     Returns ``(mask_bits, value, groups)`` -- the exact triple the PIM
     execution must reproduce (``verify_results`` compares all three).
     """
+
+    def shadows(spec) -> list:
+        return [engine.host_vector(tenant, n) for n in spec_vector_names(spec)]
+
     mask: Optional[np.ndarray] = None
     for pred in filters:
+        vectors = shadows(pred)
         if pred[0] == "cmp":
-            _, column, op, value, n_bits = pred
-            values = _oracle_column(engine, tenant, column, n_bits)
-            part = oracle_compare_const(values, op, value)
-        else:
-            _, column, lo, hi = pred
-            bins = [
-                engine.host_vector(tenant, bin_vector_name(column, b))
-                for b in range(lo, hi + 1)
-            ]
-            n = min(b.size for b in bins)
+            part = oracle_compare_const(_oracle_column(vectors), pred[2], pred[3])
+        else:  # range: the OR of its bins
+            n = min(b.size for b in vectors)
             part = np.zeros(n, dtype=np.uint8)
-            for b in bins:
+            for b in vectors:
                 part |= b[:n]
         if mask is None:
             mask = part
         else:
             n = min(mask.size, part.size)
             mask = mask[:n] & part[:n]
+    kind = aggregate[0]
+    vectors = shadows(aggregate)
+    values = _oracle_column(vectors) if kind == "sum" else None
     if mask is None:
         # unfiltered aggregate: every row of the referenced column
-        if aggregate[0] == "sum":
-            n = _oracle_column(
-                engine, tenant, aggregate[1], aggregate[2]
-            ).size
-        else:
-            n = engine.host_vector(
-                tenant, bin_vector_name(aggregate[1], 0)
-            ).size
-        mask = np.ones(n, dtype=np.uint8)
+        mask = np.ones((values if kind == "sum" else vectors[0]).size, dtype=np.uint8)
     groups: Optional[Tuple[int, ...]] = None
-    if aggregate[0] == "count":
+    if kind == "count":
         value = float(int(mask.sum()))
-    elif aggregate[0] == "sum":
-        _, column, n_bits = aggregate
-        values = _oracle_column(engine, tenant, column, n_bits)
+    elif kind == "sum":
         n = min(values.size, mask.size)
         value = float(int(values[:n][mask[:n].astype(bool)].sum()))
-    else:
-        _, column, n_bins = aggregate
+    else:  # hist: one count per bin
         counts = []
-        for b in range(n_bins):
-            bits = engine.host_vector(tenant, bin_vector_name(column, b))
+        for bits in vectors:
             n = min(bits.size, mask.size)
             counts.append(int((bits[:n] & mask[:n]).sum()))
         groups = tuple(counts)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "UpdateRequest",
     "bin_vector_name",
     "bitslice_vector_name",
+    "spec_vector_names",
 ]
 
 
@@ -114,6 +115,25 @@ def bitslice_vector_name(column: str, plane: int) -> str:
     update machinery for free.
     """
     return f"{column}#b{plane}"
+
+
+def spec_vector_names(spec) -> List[str]:
+    """The resident vectors one analytics filter or aggregate reads.
+
+    A ``("cmp", column, op, value, n_bits)`` filter and a ``("sum",
+    column, n_bits)`` aggregate read the column's bit-slice planes
+    ``0..n_bits-1``; a ``("range", column, lo, hi)`` filter reads its
+    bins ``lo..hi`` and a ``("hist", column, n_bins)`` aggregate bins
+    ``0..n_bins-1``; ``("count",)`` reads nothing.
+    """
+    kind = spec[0]
+    if kind == "cmp" or kind == "sum":
+        return [bitslice_vector_name(spec[1], j) for j in range(spec[-1])]
+    if kind == "range":
+        return [bin_vector_name(spec[1], b) for b in range(spec[2], spec[3] + 1)]
+    if kind == "hist":
+        return [bin_vector_name(spec[1], b) for b in range(spec[2])]
+    return []
 
 
 _AGGREGATES = ("count", "sum", "hist")
@@ -203,27 +223,11 @@ class AnalyticsRequest:
     @property
     def vectors(self) -> Tuple[str, ...]:
         """Every resident vector the query reads (validation surface)."""
-        names = []
-        for pred in self.filters:
-            if pred[0] == "cmp":
-                _, column, _op, _value, n_bits = pred
-                names.extend(
-                    bitslice_vector_name(column, j) for j in range(n_bits)
-                )
-            else:
-                _, column, lo, hi = pred
-                names.extend(
-                    bin_vector_name(column, b) for b in range(lo, hi + 1)
-                )
-        if self.aggregate[0] == "sum":
-            _, column, n_bits = self.aggregate
-            names.extend(
-                bitslice_vector_name(column, j) for j in range(n_bits)
-            )
-        elif self.aggregate[0] == "hist":
-            _, column, n_bins = self.aggregate
-            names.extend(bin_vector_name(column, b) for b in range(n_bins))
-        return tuple(dict.fromkeys(names))
+        return tuple(dict.fromkeys(
+            name
+            for spec in (*self.filters, self.aggregate)
+            for name in spec_vector_names(spec)
+        ))
 
     @property
     def fanin(self) -> int:

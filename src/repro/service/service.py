@@ -60,7 +60,7 @@ from repro.service.scheduler import (
 )
 from repro.service.stats import ServiceStats
 
-__all__ = ["BitmapQueryService", "ServiceConfig", "StandingQuery"]
+__all__ = ["BitmapQueryService", "ServiceConfig", "StandingQuery", "check_results"]
 
 # always-live instruments (cheap integer adds; survive telemetry.reset())
 _SUBMITTED = telemetry.counter("service.requests.submitted")
@@ -618,66 +618,63 @@ class BitmapQueryService:
         return self._standing[subscription_id]
 
     def verify_results(self) -> int:
-        """Assert every completed *read* result matches the numpy oracle.
+        """Check every completed *read* result against the numpy oracle
+        (see :func:`check_results`); returns the number checked."""
+        return check_results(self.results, lambda tenant: self.engine)
 
-        Returns the number of results checked.  With ``keep_bits`` the
-        raw bits are compared too, not just the popcount.  Updates and
-        subscription registrations are skipped: the oracle reads the
-        *final* host shadows, which only reflect a read's inputs when no
-        later update rewrote them -- workloads mixing reads and writes
-        verify against a live mirror instead (see the repair bench and
-        tests).
-        """
-        checked = 0
-        for result in self.results:
-            if result.status is not RequestStatus.COMPLETED:
-                continue
-            if result.request.kind in ("update", "subscribe"):
-                continue
-            if result.request.kind == "analytics":
-                mask, value, groups = oracle_analytics(
-                    self.engine,
-                    result.request.tenant,
-                    result.request.filters,
-                    result.request.aggregate,
+
+def check_results(results, engine_of: Callable[[str], ServiceEngine]) -> int:
+    """Assert every completed *read* result matches the numpy oracle.
+
+    ``engine_of(tenant)`` is an engine holding the tenant's host
+    shadows.  Returns the number of results checked.  A plain read's
+    popcount is compared, and its bits when the result kept them
+    (``keep_bits``); an analytics read's popcount, value and groups,
+    and its mask bits when kept.  Updates and subscription
+    registrations are skipped: the oracle reads the *final* host
+    shadows, which only reflect a read's inputs when no later update
+    rewrote them -- workloads mixing reads and writes verify against a
+    live mirror instead (see the repair bench and tests).
+    """
+    checked = 0
+    for result in results:
+        request = result.request
+        if (
+            result.status is not RequestStatus.COMPLETED
+            or request.kind in ("update", "subscribe")
+        ):
+            continue
+        engine = engine_of(request.tenant)
+        if request.kind == "analytics":
+            expected, value, groups = oracle_analytics(
+                engine, request.tenant, request.filters, request.aggregate
+            )
+            if (
+                result.popcount != int(expected.sum())
+                or result.value != value
+                or result.groups != groups
+            ):
+                raise AssertionError(
+                    f"analytics request {request.request_id}: "
+                    f"got (popcount={result.popcount}, "
+                    f"value={result.value}, groups={result.groups}), "
+                    f"oracle ({int(expected.sum())}, {value}, {groups})"
                 )
-                if (
-                    result.popcount != int(mask.sum())
-                    or result.value != value
-                    or result.groups != groups
-                ):
-                    raise AssertionError(
-                        f"analytics request {result.request.request_id}: "
-                        f"got (popcount={result.popcount}, "
-                        f"value={result.value}, groups={result.groups}), "
-                        f"oracle ({int(mask.sum())}, {value}, {groups})"
-                    )
-                if result.bits is not None and not np.array_equal(
-                    result.bits, mask
-                ):
-                    raise AssertionError(
-                        f"analytics request {result.request.request_id}: "
-                        f"mask bits differ from the numpy oracle"
-                    )
-                checked += 1
-                continue
+        else:
             expected = oracle_bits(
-                self.engine,
-                result.request.tenant,
-                result.request.op,
-                result.request.vectors,
+                engine, request.tenant, request.op, request.vectors
             )
             if result.popcount != int(expected.sum()):
                 raise AssertionError(
-                    f"request {result.request.request_id}: popcount "
+                    f"request {request.request_id}: popcount "
                     f"{result.popcount} != oracle {int(expected.sum())}"
                 )
-            if result.bits is not None and not np.array_equal(
-                result.bits, expected
-            ):
-                raise AssertionError(
-                    f"request {result.request.request_id}: bits differ "
-                    f"from the numpy oracle"
-                )
-            checked += 1
-        return checked
+        if result.bits is not None and not np.array_equal(
+            result.bits, expected
+        ):
+            raise AssertionError(
+                f"request {request.request_id}: bits differ from the "
+                f"numpy oracle"
+            )
+        checked += 1
+    return checked

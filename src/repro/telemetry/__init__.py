@@ -114,10 +114,9 @@ def _emit_exit_report() -> None:  # pragma: no cover - atexit hook
 
 
 def report_at_exit(enable: bool = True) -> None:
-    """Opt in (or back out) of a telemetry report on interpreter exit.
-
-    Replaces the old unconditional ``REPRO_PERF_DEBUG`` atexit hook in
-    ``memsim.controller``: nothing prints unless this was called.
+    """Opt in (or back out) of a telemetry report on interpreter exit:
+    the telemetry summary plus the controller's pricing-engine counters.
+    Nothing prints unless this was called.
     """
     global _exit_registered, _exit_enabled
     _exit_enabled = enable

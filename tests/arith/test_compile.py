@@ -12,8 +12,7 @@ import pytest
 
 from repro.apps.analytics import AnalyticsTable, analytics_oracle
 import repro.arith.compile as analytics_compile
-from repro.arith.compile import analytics_program_key
-from repro.plan.compile import NOT_STEADY
+from repro.arith.compile import NOT_STEADY, analytics_program_key
 from repro.runtime.api import PimRuntime
 
 N = 320

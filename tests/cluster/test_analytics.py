@@ -4,9 +4,10 @@ verified, deterministic."""
 import json
 
 import numpy as np
+import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
-from repro.service import ServiceClient
+from repro.service import ServiceClient, ServiceConfig
 
 N = 2048
 
@@ -85,6 +86,26 @@ class TestClusterAnalytics:
             )
 
         assert digest() == digest()
+
+    def test_flipped_mask_bit_fails_verification(self):
+        """The cluster's oracle check compares kept analytics mask
+        bits, not only the popcount, value and groups."""
+        data = dataset()
+        router = ClusterRouter(
+            ClusterConfig(n_nodes=2, service=ServiceConfig(keep_bits=True))
+        )
+        client = ServiceClient(router)
+        client.register_tenant("t", replicas=2)
+        client.load_bitslice_column("t", "age", data["age"], 6)
+        client.analyze("t", [("cmp", "age", "lt", 30, 6)], ("count",))
+        client.run()
+        assert router.verify_results() == 1
+        (result,) = router.results
+        mask = (data["age"] < 30).astype(np.uint8)
+        assert np.array_equal(result.bits, mask)
+        result.bits[0] ^= 1  # popcount, value and groups still match
+        with pytest.raises(AssertionError, match="bits differ"):
+            router.verify_results()
 
     def test_plain_and_analytics_mix(self):
         data = dataset()

@@ -150,7 +150,7 @@ class TestPerfCounters:
 
         pc = PerfCounters(
             scalar_commands=10, batch_commands=90, batches=3, streams=5,
-            cache_hits=8, cache_misses=2, wall_s=0.25,
+            cache_hits=8, cache_misses=2,
         )
         line = pc.summary()
         assert "100 commands" in line

@@ -16,11 +16,12 @@ from repro import telemetry
 from repro.apps.fastbit import FastBitDB, RangeQuery
 from repro.apps.fastbit_pim import PimFastBit
 from repro.apps.star import ColumnSpec, synthetic_star_table
+from repro.arith.compile import NOT_STEADY
 from repro.core.pinatubo import PinatuboSystem
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.plan.cache import ProgramCache
-from repro.plan.compile import NOT_STEADY, UNCOMPILABLE
+from repro.plan.compile import UNCOMPILABLE
 from repro.runtime.api import PimRuntime
 
 GEOM = MemoryGeometry(

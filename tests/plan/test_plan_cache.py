@@ -199,7 +199,7 @@ class TestHitPricing:
 
 class TestSubResultCache:
     def test_lru_eviction_under_byte_budget(self):
-        cache = SubResultCache(max_bytes=4096, shards=1)
+        cache = SubResultCache(max_bytes=4096)
         rows = np.ones((1, 1024), dtype=np.uint8)
         for i in range(6):
             cache.put(f"k{i}", rows, 8192, {i})
@@ -209,7 +209,7 @@ class TestSubResultCache:
         assert cache.get("k5") is not None
 
     def test_oversized_entry_rejected(self):
-        cache = SubResultCache(max_bytes=1024, shards=1)
+        cache = SubResultCache(max_bytes=1024)
         rows = np.ones((4, 1024), dtype=np.uint8)
         assert not cache.put("big", rows, 4 * 8192, {1})
         assert len(cache) == 0
@@ -219,20 +219,31 @@ class TestSubResultCache:
         rows = np.ones((1, 64), dtype=np.uint8)
         cache.put("x", rows, 512, {1, 2})
         cache.put("y", rows, 512, {2, 3})
-        assert cache.invalidate_frame(2) == 2
+        assert cache.invalidate_frames([2]) == 2
         assert cache.invalidations == 2
         assert len(cache) == 0
         # the frame index must be fully cleaned up
-        assert cache.invalidate_frame(1) == 0
-        assert cache.invalidate_frame(3) == 0
+        assert cache.invalidate_frames([1]) == 0
+        assert cache.invalidate_frames([3]) == 0
+
+    def test_one_budget_for_every_entry(self):
+        """The byte budget is one pool: entries that fit it together
+        are all kept, whatever their keys hash to."""
+        cache = SubResultCache(max_bytes=8 * 128)
+        rows = np.ones((1, 128), dtype=np.uint8)
+        keys = range(0, 80, 10)
+        for i, key in enumerate(keys):
+            cache.put(key, rows, 1024, {i})
+        assert cache.evictions == 0
+        assert len(cache) == 8
+        assert cache.bytes_used == 8 * 128
+        assert all(cache.peek(key) is not None for key in keys)
 
     def test_planner_eviction_still_correct(self):
         rt = _runtime()
-        # one-shard cache big enough for a single 3-chunk entry: every
-        # further insert evicts the previous one
-        rt.planner.cache = SubResultCache(
-            max_bytes=4 * GEOM.row_bytes, shards=1
-        )
+        # a cache big enough for a single 3-chunk entry: every further
+        # insert evicts the previous one
+        rt.planner.cache = SubResultCache(max_bytes=4 * GEOM.row_bytes)
         (a, b, c), (ba, bb, bc) = _loaded(rt)
         d = [rt.pim_malloc(N) for _ in range(3)]
         rt.pim_op("or", d[0], [a, b])
@@ -248,17 +259,18 @@ class TestSubResultCache:
         """Serving an entry must not pin it: once evicted, the entry's
         rows are garbage, so the planner's memory stays inside
         ``plan_cache_bytes``."""
-        # 8 shards of 4 rows each: one 3-chunk entry fits per shard
-        rt = _runtime(plan_cache_bytes=32 * GEOM.row_bytes)
+        # a budget of 4 rows: one 3-chunk entry fits, the next insert
+        # evicts it
+        rt = _runtime(plan_cache_bytes=4 * GEOM.row_bytes)
         (a, b), _ = _loaded(rt, n_vectors=2)
         for _ in range(3):  # execute, then serve twice
             rt.pim_op("or", rt.pim_malloc(N), [a, b])
         cache = rt.planner.cache
-        (entry,) = [e for shard in cache._shards for e in shard.values()]
+        (entry,) = cache._entries.values()
         key, rows = entry.key, weakref.ref(entry.rows)
         del entry
         rng = np.random.default_rng(0)
-        for _ in range(400):  # insert until the entry's shard evicts it
+        for _ in range(400):  # insert until the cache evicts the entry
             if cache.peek(key) is None:
                 break
             v, d = rt.pim_malloc(N), rt.pim_malloc(N)

@@ -255,9 +255,7 @@ class TestOneWriteEventPerHostWrite:
         assert events == [list(a.frames)]
         assert rt.plan_stats.repairs_marked - stats0 == 3
         assert marked.value - marked0 == 3
-        entries = [
-            e for shard in planner.cache._shards for e in shard.values()
-        ]
+        entries = list(planner.cache._entries.values())
         assert len(entries) == 3
         assert all(e.dirty == {0, 1, 2} for e in entries)
 
@@ -301,11 +299,9 @@ class TestLruUnderRepair:
 
     def _small_cache_runtime(self):
         rt = _runtime()
-        # one shard holding exactly two 3-chunk entries: a third insert
+        # a cache holding exactly two 3-chunk entries: a third insert
         # evicts the least recently used one
-        rt.planner.cache = SubResultCache(
-            max_bytes=6 * GEOM.row_bytes, shards=1
-        )
+        rt.planner.cache = SubResultCache(max_bytes=6 * GEOM.row_bytes)
         return rt
 
     def test_repair_refreshes_recency(self):
