@@ -32,9 +32,10 @@ Honesty rules, in the same spirit as the planner's serve pricing:
 - A record's accounting delta is exactly what the interpreted steady
   run paid (batch pricing is content-determined, so the delta is
   stable across repeats and across sightings); replaying merges it into
-  the same driver / host accounting the interpreted path feeds, bumps
-  the same request/instruction/mode-switch tallies, and restores the
-  executor's mode register to the recorded exit state.
+  the same driver / host accounting and per-channel bus ledgers the
+  interpreted path feeds, bumps the same request/instruction/mode-switch
+  tallies, and restores the executor's mode register to the recorded
+  exit state.
 - A record keeps the rows its run wrote to scratch (the gate wave's
   serves).  A replay queues the record on the pool, and its rows land,
   unpriced and each frame once with its last row, before the pool's
@@ -141,6 +142,14 @@ def analytics_program_key(filters, aggregate, scope=None):
     return (scope, tuple(shape), tuple(aggregate)), tuple(constants)
 
 
+def _bus_ledgers(buses) -> list:
+    """Every channel's ``(commands, bytes, busy s, J)`` bus ledger."""
+    return [
+        (s.commands, s.data_bytes, s.busy_time, s.energy)
+        for s in (bus.stats for bus in buses)
+    ]
+
+
 class AnalyticsRun(NamedTuple):
     """One analyze call's answer and simulated cost, replayed or not."""
 
@@ -163,6 +172,7 @@ class _Record:
         "n_bits",  # mask length, for unpacking
         "acct",  # driver (PIM) OpAccounting delta
         "host_acct",  # host-side OpAccounting delta, or None if empty
+        "bus",  # per-channel (channel, commands, bytes, busy s, J) deltas
         "requests",  # DriverStats int deltas (instructions: run's)
         "mode_switches",
         "mode_out",  # executor mode state after the run (op enum or None)
@@ -357,6 +367,7 @@ class AnalyticsCompiler:
             plan.cache_misses,
             plan.compilations,
             plan.repairs,
+            _bus_ledgers(self.executor.controller.buses),
         )
         return program, (constants, self.executor._current_mode), before
 
@@ -366,7 +377,7 @@ class AnalyticsCompiler:
         a dirty cached entry happened during it.  A run that was not
         steady marks ``entry`` :data:`NOT_STEADY`."""
         (pim0, host0, requests0, instr0, switches0, fallbacks0, misses0,
-         compilations0, repairs0) = before
+         compilations0, repairs0, _) = before
         runtime = self.runtime
         stats = runtime.driver.stats
         plan = self.planner.stats
@@ -400,6 +411,13 @@ class AnalyticsCompiler:
         rec.requests = stats.requests - requests0
         rec.mode_switches = stats.mode_switches - switches0
         executor = self.executor
+        rec.bus = [
+            (ch, *(now - then for now, then in zip(after, start)))
+            for ch, (after, start) in enumerate(
+                zip(_bus_ledgers(executor.controller.buses), before[-1])
+            )
+            if after != start
+        ]
         rec.mode_out = executor._current_mode
         rec.mode_code = executor.controller.mode_register
         rec.pool = pool
@@ -470,7 +488,10 @@ class AnalyticsCompiler:
         stats.mode_switches += rec.mode_switches
         executor = self.executor
         executor._current_mode = rec.mode_out
-        executor.controller.mode_register = rec.mode_code
+        controller = executor.controller
+        controller.mode_register = rec.mode_code
+        for ch, commands, data_bytes, busy_time, energy in rec.bus:
+            controller.buses[ch].account(commands, data_bytes, busy_time, energy)
         # the recorded run's scratch writes land before the pool next
         # interprets (see _land_replayed)
         replayed = rec.pool.replayed

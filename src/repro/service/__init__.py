@@ -60,16 +60,11 @@ from repro.service.request import (
     QueryRequest,
     QueryResult,
     RequestStatus,
-    SubscribeRequest,
     UpdateRequest,
     bin_vector_name,
     bitslice_vector_name,
 )
-from repro.service.scheduler import (
-    BatchPricing,
-    CoalescingScheduler,
-    SchedulerConfig,
-)
+from repro.service.scheduler import BatchPricing, CoalescingScheduler
 from repro.service.service import (
     BitmapQueryService,
     ServiceConfig,
@@ -95,13 +90,11 @@ __all__ = [
     "RequestStatus",
     "ResidentPimEngine",
     "ResultHandle",
-    "SchedulerConfig",
     "ServiceClient",
     "ServiceConfig",
     "ServiceEngine",
     "ServiceStats",
     "StandingQuery",
-    "SubscribeRequest",
     "SubscriptionHandle",
     "TenantQuota",
     "TenantStats",

@@ -1,9 +1,11 @@
 """`ServiceClient`: the one facade for talking to a serving target.
 
-Callers used to construct :class:`~repro.service.request.QueryRequest` /
-``UpdateRequest`` / ``SubscribeRequest`` objects by hand -- picking
-request ids, arrival timestamps, and the right request class --
-for every interaction.  The facade folds all of that into three verbs::
+The client builds the one request record every serving layer reads --
+a :class:`~repro.service.request.QueryRequest` (``kind="subscribe"``
+for a standing query), an ``AnalyticsRequest`` or an ``UpdateRequest``
+-- picking its request id and arrival timestamp, and submits it; the
+router, service, scheduler and engine then carry that same object by
+reference.  The verbs::
 
     client = ServiceClient(service_or_cluster)
     client.register_tenant("alice")
@@ -43,7 +45,6 @@ from repro.service.request import (
     QueryRequest,
     QueryResult,
     RequestStatus,
-    SubscribeRequest,
     UpdateRequest,
 )
 
@@ -260,12 +261,13 @@ class ServiceClient:
         request_id: Optional[int] = None,
     ) -> SubscriptionHandle:
         """Register a standing query; deltas land on the handle."""
-        request = SubscribeRequest(
+        request = QueryRequest(
             self._claim_id(request_id),
             tenant,
             op,
             tuple(vectors),
             self._arrival(at),
+            kind="subscribe",
         )
         handle = SubscriptionHandle(request)
         self._place(request, handle)
@@ -323,7 +325,7 @@ class ServiceClient:
 
     def _place(
         self,
-        request: Union[QueryRequest, UpdateRequest, SubscribeRequest],
+        request: Union[QueryRequest, AnalyticsRequest, UpdateRequest],
         handle: ResultHandle,
     ) -> ResultHandle:
         self.target.submit_request(request)

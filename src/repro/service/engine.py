@@ -1,10 +1,11 @@
 """Execution engines: how the service drives a backend.
 
-The scheduler hands an engine one *coalesced batch* of
-:class:`ServiceCall`s (possibly from many tenants) and gets back one
-:class:`ExecutedCall` per request -- result bits plus the simulated
-latency/energy of that request alone.  Two engines cover every
-registered backend:
+The scheduler hands an engine one *coalesced batch* of the requests the
+client built (:class:`~repro.service.request.QueryRequest` and
+:class:`~repro.service.request.AnalyticsRequest`, possibly from many
+tenants) and gets back one :class:`ExecutedCall` per request -- result
+bits plus the simulated latency/energy of that request alone.  Two
+engines cover every registered backend:
 
 - :class:`ResidentPimEngine` -- the functional Pinatubo runtime.  Tenant
   vectors are *resident*: loaded once through ``pim_malloc`` with a
@@ -18,15 +19,17 @@ registered backend:
   host-side; batches go through the backend protocol's
   ``bitwise_many``.
 
-Both keep a host-side shadow copy of every loaded vector, which is what
-the service's numpy-oracle parity checks compare against.
+:class:`ServiceEngine` keeps the one host-side shadow copy of every
+loaded vector (what the service's numpy-oracle parity checks compare
+against) and the tenant -> shard map; an engine adds only how a vector
+lands, is overwritten and is released on its substrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,13 +57,16 @@ from repro.arith.kernels import (  # noqa: F401
     masked_sum,
 )
 from repro.arith.oracle import oracle_compare_const
-from repro.service.request import spec_vector_names
+from repro.service.request import (
+    AnalyticsRequest,
+    QueryRequest,
+    spec_vector_names,
+)
 
 __all__ = [
     "ExecutedCall",
     "HostOracleEngine",
     "ResidentPimEngine",
-    "ServiceCall",
     "ServiceEngine",
     # re-exported for compatibility; the class now lives with the
     # backend protocol (repro.backends.UnsupportedOpError)
@@ -70,19 +76,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ServiceCall:
-    """One request lowered to engine vocabulary: op over named vectors.
-
-    Analytics requests carry their ``(filters, aggregate)`` spec in
-    ``analytics``; plain bitwise reads leave it ``None``.  Both ride the
-    same coalesced batches.
-    """
-
-    tenant: str
-    op: str
-    names: Tuple[str, ...]
-    analytics: Optional[tuple] = None
+#: what an engine executes: plain reads and standing queries
+#: (``QueryRequest``) and filter+aggregate queries (``AnalyticsRequest``)
+ReadRequest = Union[QueryRequest, AnalyticsRequest]
 
 
 @dataclass
@@ -94,7 +90,6 @@ class ExecutedCall:
     latency_s: float
     energy_j: float
     steps: int
-    in_memory: bool
     #: analytics aggregate value (count / masked sum / histogram total)
     value: float = 0.0
     #: analytics histogram per-bin counts; None otherwise
@@ -102,9 +97,23 @@ class ExecutedCall:
 
 
 class ServiceEngine:
-    """What the scheduler needs from an execution substrate."""
+    """What the scheduler needs from an execution substrate.
+
+    Holds the one host shadow copy of every loaded vector and the
+    tenant -> shard map.  A substrate's :meth:`load_vector` checks the
+    load with :meth:`_check_load` and shadows it once it has landed; its
+    :meth:`update_vector` keeps the shadow through
+    :meth:`_shadow_update`, and its :meth:`unload_tenant` frees what it
+    holds before this class drops the shadows.
+    """
 
     name: str = "engine"
+
+    def __init__(self) -> None:
+        #: (tenant, name) -> host shadow, in load order
+        self._host: Dict[Tuple[str, str], np.ndarray] = {}
+        #: tenant -> shard, fixed by the tenant's first load
+        self._tenant_shard: Dict[str, int] = {}
 
     def capabilities(self) -> BackendCapabilities:
         raise NotImplementedError
@@ -136,12 +145,39 @@ class ServiceEngine:
         """
         raise NotImplementedError
 
+    def _check_load(self, tenant: str, name: str, bits) -> np.ndarray:
+        """A new vector's bits as uint8; rejects a second load of a name."""
+        if (tenant, name) in self._host:
+            raise ValueError(f"vector {name!r} already loaded for {tenant!r}")
+        return np.asarray(bits, dtype=np.uint8)
+
+    def _shadow_update(
+        self, tenant: str, name: str, bits
+    ) -> Tuple[np.ndarray, int]:
+        """Shadow an overwrite; returns ``(bits as uint8, changed)``.
+
+        ``changed`` is ``popcount(old XOR new)``, the write's reported
+        popcount.  Rejects unknown vectors and size changes.
+        """
+        key = (tenant, name)
+        old = self._host.get(key)
+        if old is None:
+            raise ValueError(f"vector {name!r} not loaded for {tenant!r}")
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.size != old.size:
+            raise ValueError(
+                f"update size {bits.size} != loaded size {old.size} "
+                f"for {tenant!r}/{name!r}"
+            )
+        self._host[key] = bits.copy()
+        return bits, int(np.count_nonzero(old != bits))
+
     def host_vector(self, tenant: str, name: str) -> np.ndarray:
         """Host shadow copy (the oracle's input)."""
-        raise NotImplementedError
+        return self._host[(tenant, name)]
 
     def has_vector(self, tenant: str, name: str) -> bool:
-        raise NotImplementedError
+        return (tenant, name) in self._host
 
     def tenant_vectors(self, tenant: str) -> Dict[str, np.ndarray]:
         """Host shadows of every vector the tenant has loaded, by name.
@@ -150,7 +186,11 @@ class ServiceEngine:
         nodes (the insertion order is the original load order, so a
         re-load on another node places vectors identically).
         """
-        raise NotImplementedError
+        return {
+            name: bits.copy()
+            for (owner, name), bits in self._host.items()
+            if owner == tenant
+        }
 
     def unload_tenant(self, tenant: str) -> int:
         """Drop a tenant's resident vectors; returns how many were freed.
@@ -159,20 +199,29 @@ class ServiceEngine:
         vector set has been copied to its new owner, the old node
         releases the frames (and any cached sub-results reading them).
         """
-        raise NotImplementedError
+        keys = [key for key in self._host if key[0] == tenant]
+        for key in keys:
+            del self._host[key]
+        self._tenant_shard.pop(tenant, None)
+        return len(keys)
 
-    def execute(self, calls: Sequence[ServiceCall]) -> List[ExecutedCall]:
-        """Run one coalesced batch; one result per call, in call order."""
+    def shard_of(self, tenant: str) -> int:
+        """Which shard the tenant's resident data lives on."""
+        return self._tenant_shard.get(tenant, 0)
+
+    def execute(self, requests: Sequence[ReadRequest]) -> List[ExecutedCall]:
+        """Run one coalesced batch; one result per request, in order.
+
+        ``request.kind == "analytics"`` runs the filter+aggregate query
+        over ``request.filters``/``request.aggregate``; every other
+        request applies ``request.op`` to ``request.vectors``.
+        """
         raise NotImplementedError
 
     @property
     def n_shards(self) -> int:
         """Independent placement shards requests can overlap across."""
         return 1
-
-    def shard_of(self, tenant: str) -> int:
-        """Which shard the tenant's resident data lives on."""
-        return 0
 
     def wear_monitor(self) -> Optional[WearMonitor]:
         """Endurance monitor of the functional memory, if there is one."""
@@ -201,6 +250,7 @@ class ResidentPimEngine(ServiceEngine):
             )
         from repro.runtime.api import PimRuntime
 
+        super().__init__()
         self.config = config
         self.runtime = runtime or PimRuntime.from_config(config, plan=True)
         executor = self.runtime.system.executor
@@ -213,8 +263,6 @@ class ResidentPimEngine(ServiceEngine):
             functional=True,
         )
         self._handles: Dict[Tuple[str, str], object] = {}
-        self._host: Dict[Tuple[str, str], np.ndarray] = {}
-        self._tenant_shard: Dict[str, int] = {}
         #: per-(tenant, width) scratch pools for the arithmetic path;
         #: scratch allocates in the tenant's affinity group, so masks
         #: and ripple intermediates stay on the tenant's shard
@@ -239,115 +287,80 @@ class ResidentPimEngine(ServiceEngine):
         return self._caps
 
     def load_vector(self, tenant: str, name: str, bits: np.ndarray) -> None:
-        key = (tenant, name)
-        if key in self._handles:
-            raise ValueError(f"vector {name!r} already loaded for {tenant!r}")
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = self._check_load(tenant, name, bits)
         rt = self.runtime
         handle = rt.pim_malloc(int(bits.size), self.group_of(tenant))
         rt.pim_write(handle, bits)
-        self._handles[key] = handle
-        self._host[key] = bits.copy()
+        self._handles[(tenant, name)] = handle
+        self._host[(tenant, name)] = bits.copy()
         if tenant not in self._tenant_shard:
             addr = rt.manager.frame_address(handle.frames[0])
-            g = rt.system.geometry
             self._tenant_shard[tenant] = (
-                addr.channel * g.banks_per_rank + addr.bank
+                addr.channel * rt.system.geometry.banks_per_rank + addr.bank
             )
 
     def update_vector(
         self, tenant: str, name: str, bits: np.ndarray
     ) -> ExecutedCall:
-        key = (tenant, name)
-        handle = self._handles.get(key)
-        if handle is None:
-            raise ValueError(f"vector {name!r} not loaded for {tenant!r}")
-        bits = np.asarray(bits, dtype=np.uint8)
-        old = self._host[key]
-        if bits.size != old.size:
-            raise ValueError(
-                f"update size {bits.size} != loaded size {old.size} "
-                f"for {tenant!r}/{name!r}"
-            )
+        bits, changed = self._shadow_update(tenant, name, bits)
         rt = self.runtime
         lat0, en0 = rt.total_latency(), rt.total_energy()
         # the write lands through the runtime's write listener: cached
         # sub-results reading these rows are marked dirty (or dropped
         # when repair cannot reach them); nothing is repaired or priced
         # until a read serves them
-        rt.pim_write(handle, bits)
-        changed = int(np.count_nonzero(old != bits))
-        self._host[key] = bits.copy()
+        rt.pim_write(self._handles[(tenant, name)], bits)
         return ExecutedCall(
             bits=np.zeros(0, dtype=np.uint8),
             popcount=changed,
             latency_s=(rt.total_latency() - lat0) * self.config.timing_scale,
             energy_j=(rt.total_energy() - en0) * self.config.energy_scale,
             steps=0,
-            in_memory=True,
         )
 
-    def host_vector(self, tenant: str, name: str) -> np.ndarray:
-        return self._host[(tenant, name)]
-
-    def has_vector(self, tenant: str, name: str) -> bool:
-        return (tenant, name) in self._handles
-
-    def tenant_vectors(self, tenant: str) -> Dict[str, np.ndarray]:
-        return {
-            name: bits.copy()
-            for (owner, name), bits in self._host.items()
-            if owner == tenant
-        }
-
     def unload_tenant(self, tenant: str) -> int:
-        keys = [key for key in self._handles if key[0] == tenant]
-        for key in keys:
+        for key in [key for key in self._handles if key[0] == tenant]:
             # pim_free runs the allocator's free listeners, so a planned
             # runtime drops every cached sub-result reading these frames
             self.runtime.pim_free(self._handles.pop(key))
-            del self._host[key]
         for pool_key in [k for k in self._arith_pools if k[0] == tenant]:
             self._arith_pools.pop(pool_key).free_all()
-        self._tenant_shard.pop(tenant, None)
-        return len(keys)
+        return super().unload_tenant(tenant)
 
     @property
     def n_shards(self) -> int:
         return self._n_shards
 
-    def shard_of(self, tenant: str) -> int:
-        return self._tenant_shard.get(tenant, 0)
-
-    def execute(self, calls: Sequence[ServiceCall]) -> List[ExecutedCall]:
+    def execute(self, requests: Sequence[ReadRequest]) -> List[ExecutedCall]:
         """One driver batch (or planner wave) for the coalesced stream.
 
-        Analytics calls execute inline in call order (each is its own
-        multi-gate kernel sequence through the planner); the plain
+        Analytics requests execute inline in batch order (each is its
+        own multi-gate kernel sequence through the planner); the plain
         bitwise reads of the batch still coalesce into one
         ``pim_op_many`` stream.
         """
         rt = self.runtime
-        out: List[Optional[ExecutedCall]] = [None] * len(calls)
+        out: List[Optional[ExecutedCall]] = [None] * len(requests)
         plain_slots = []
         dests = []
         widths = []
-        requests = []
-        for i, call in enumerate(calls):
-            if call.analytics is not None:
-                out[i] = self._execute_analytics(call)
+        ops = []
+        for i, request in enumerate(requests):
+            if request.kind == "analytics":
+                out[i] = self._execute_analytics(request)
                 continue
-            sources = [self._handles[(call.tenant, n)] for n in call.names]
+            tenant = request.tenant
+            sources = [self._handles[(tenant, n)] for n in request.vectors]
             n_bits = min(h.n_bits for h in sources)
-            dest = rt.pim_malloc(n_bits, self.group_of(call.tenant))
-            requests.append((call.op, dest, sources, n_bits))
+            dest = rt.pim_malloc(n_bits, self.group_of(tenant))
+            ops.append((request.op, dest, sources, n_bits))
             dests.append(dest)
             widths.append(n_bits)
             plain_slots.append(i)
         # pim_op_many routes through the planner (CSE and cache serves)
         # when the runtime has one, and is plain submit+flush
         # otherwise; results come back in submission order either way
-        results = rt.pim_op_many(requests) if requests else []
+        results = rt.pim_op_many(ops) if ops else []
         # one read-back for every plain result of the dispatch, then
         # the frees in submission order
         read_back = rt.pim_read_many(dests, widths)
@@ -359,7 +372,6 @@ class ResidentPimEngine(ServiceEngine):
                 latency_s=result.latency * self.config.timing_scale,
                 energy_j=result.energy * self.config.energy_scale,
                 steps=result.steps,
-                in_memory=result.steps > 0,
             )
         return out
 
@@ -377,7 +389,7 @@ class ResidentPimEngine(ServiceEngine):
             self._arith_pools[key] = pool
         return pool
 
-    def _execute_analytics(self, call: ServiceCall) -> ExecutedCall:
+    def _execute_analytics(self, request: AnalyticsRequest) -> ExecutedCall:
         """Run one filter+aggregate query on the resident vectors.
 
         Every gate goes through the runtime (priced by the controller,
@@ -388,9 +400,11 @@ class ResidentPimEngine(ServiceEngine):
         :class:`~repro.arith.compile.AnalyticsProgram` instead --
         identical answers, bits and pricing, no planner work.
         """
-        filters, aggregate = call.analytics
         run = self.analytics_compiler.run(
-            filters, aggregate, call.tenant, partial(self._analytics_operands, call)
+            request.filters,
+            request.aggregate,
+            request.tenant,
+            partial(self._analytics_operands, request),
         )
         return ExecutedCall(
             bits=run.bits,
@@ -398,18 +412,17 @@ class ResidentPimEngine(ServiceEngine):
             latency_s=run.latency_s * self.config.timing_scale,
             energy_j=run.energy_j * self.config.energy_scale,
             steps=run.instructions,
-            in_memory=True,
             value=run.value,
             groups=run.groups,
         )
 
-    def _analytics_operands(self, call: ServiceCall):
-        """``(pool, resolve)`` of one interpreted analytics call (see
+    def _analytics_operands(self, request: AnalyticsRequest):
+        """``(pool, resolve)`` of one interpreted analytics request (see
         :meth:`AnalyticsCompiler.run`)."""
-        tenant = call.tenant
+        tenant = request.tenant
         handles = self._handles
         pool = self._arith_pool(
-            tenant, min(handles[(tenant, n)].n_bits for n in call.names)
+            tenant, min(handles[(tenant, n)].n_bits for n in request.vectors)
         )
 
         def resolve(spec) -> list:
@@ -417,7 +430,7 @@ class ResidentPimEngine(ServiceEngine):
 
         return pool, resolve
 
-    def replay(self, call: ServiceCall, primary: ExecutedCall) -> ExecutedCall:
+    def replay(self, request, primary: ExecutedCall) -> ExecutedCall:
         """Never called: the scheduler no longer folds equal-content
         calls.  The name stays because ``benchmarks/e2e``'s ledger
         wraps ``ResidentPimEngine.replay``; drop both together."""
@@ -436,40 +449,27 @@ class HostOracleEngine(ServiceEngine):
     def __init__(self, config: SystemConfig, n_shards: int = 1):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
+        super().__init__()
         self.config = config
         self.backend = registry.create(config.backend, config)
         self.name = self.backend.name
-        self._vectors: Dict[Tuple[str, str], np.ndarray] = {}
-        self._tenant_shard: Dict[str, int] = {}
         self._shards = n_shards
 
     def capabilities(self) -> BackendCapabilities:
         return self.backend.capabilities()
 
     def load_vector(self, tenant: str, name: str, bits: np.ndarray) -> None:
-        key = (tenant, name)
-        if key in self._vectors:
-            raise ValueError(f"vector {name!r} already loaded for {tenant!r}")
-        self._vectors[key] = np.asarray(bits, dtype=np.uint8).copy()
-        if tenant not in self._tenant_shard:
-            # registration order round-robin: deterministic and balanced
-            self._tenant_shard[tenant] = len(self._tenant_shard) % self._shards
+        bits = self._check_load(tenant, name, bits)
+        self._host[(tenant, name)] = bits.copy()
+        # registration order round-robin: deterministic and balanced
+        self._tenant_shard.setdefault(
+            tenant, len(self._tenant_shard) % self._shards
+        )
 
     def update_vector(
         self, tenant: str, name: str, bits: np.ndarray
     ) -> ExecutedCall:
-        key = (tenant, name)
-        old = self._vectors.get(key)
-        if old is None:
-            raise ValueError(f"vector {name!r} not loaded for {tenant!r}")
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size != old.size:
-            raise ValueError(
-                f"update size {bits.size} != loaded size {old.size} "
-                f"for {tenant!r}/{name!r}"
-            )
-        changed = int(np.count_nonzero(old != bits))
-        self._vectors[key] = bits.copy()
+        _, changed = self._shadow_update(tenant, name, bits)
         # host-side vectors: the overwrite is a host memcpy, free on the
         # simulated device timeline
         return ExecutedCall(
@@ -478,48 +478,23 @@ class HostOracleEngine(ServiceEngine):
             latency_s=0.0,
             energy_j=0.0,
             steps=0,
-            in_memory=False,
         )
-
-    def host_vector(self, tenant: str, name: str) -> np.ndarray:
-        return self._vectors[(tenant, name)]
-
-    def has_vector(self, tenant: str, name: str) -> bool:
-        return (tenant, name) in self._vectors
-
-    def tenant_vectors(self, tenant: str) -> Dict[str, np.ndarray]:
-        return {
-            name: bits.copy()
-            for (owner, name), bits in self._vectors.items()
-            if owner == tenant
-        }
-
-    def unload_tenant(self, tenant: str) -> int:
-        keys = [key for key in self._vectors if key[0] == tenant]
-        for key in keys:
-            del self._vectors[key]
-        self._tenant_shard.pop(tenant, None)
-        return len(keys)
 
     @property
     def n_shards(self) -> int:
         return self._shards
 
-    def shard_of(self, tenant: str) -> int:
-        return self._tenant_shard.get(tenant, 0)
-
-    def execute(self, calls: Sequence[ServiceCall]) -> List[ExecutedCall]:
-        out: List[Optional[ExecutedCall]] = [None] * len(calls)
+    def execute(self, requests: Sequence[ReadRequest]) -> List[ExecutedCall]:
+        out: List[Optional[ExecutedCall]] = [None] * len(requests)
         plain_slots = []
-        requests = []
-        for i, call in enumerate(calls):
-            if call.analytics is not None:
+        ops = []
+        for i, request in enumerate(requests):
+            if request.kind == "analytics":
                 # host-side vectors: analytics evaluates as plain numpy,
                 # free on the simulated device timeline (same convention
                 # as this engine's updates)
-                filters, aggregate = call.analytics
                 mask, value, groups = oracle_analytics(
-                    self, call.tenant, filters, aggregate
+                    self, request.tenant, request.filters, request.aggregate
                 )
                 out[i] = ExecutedCall(
                     bits=mask,
@@ -527,19 +502,18 @@ class HostOracleEngine(ServiceEngine):
                     latency_s=0.0,
                     energy_j=0.0,
                     steps=0,
-                    in_memory=False,
                     value=value,
                     groups=groups,
                 )
                 continue
-            requests.append(
+            ops.append(
                 (
-                    call.op,
-                    [self._vectors[(call.tenant, n)] for n in call.names],
+                    request.op,
+                    [self._host[(request.tenant, n)] for n in request.vectors],
                 )
             )
             plain_slots.append(i)
-        runs = self.backend.bitwise_many(requests) if requests else []
+        runs = self.backend.bitwise_many(ops) if ops else []
         for i, run in zip(plain_slots, runs):
             out[i] = ExecutedCall(
                 bits=run.bits,
@@ -547,7 +521,6 @@ class HostOracleEngine(ServiceEngine):
                 latency_s=run.stats.latency,
                 energy_j=run.stats.energy,
                 steps=run.stats.steps,
-                in_memory=run.stats.in_memory,
             )
         return out
 

@@ -4,7 +4,12 @@ A :class:`QueryRequest` is one tenant-issued bulk-bitwise query over
 *named* bit-vectors the tenant loaded beforehand: a plain bitwise op
 (OR/AND/XOR/INV over data vectors) or a FastBit-style range query, which
 lowers to a wide OR over the covered bins' bitmap vectors (exactly how
-:mod:`repro.apps.fastbit` evaluates range predicates).
+:mod:`repro.apps.fastbit` evaluates range predicates).  The same
+record with ``kind="subscribe"`` registers a standing query.
+:class:`AnalyticsRequest` (filter + aggregate) and
+:class:`UpdateRequest` (an overwrite) complete the set.  Each is the one
+record the client builds; the router, service, scheduler and engine all
+read it by reference.
 
 A :class:`QueryResult` records what happened to the request on the
 simulated timeline: admission outcome, queueing delay, simulated service
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +34,6 @@ __all__ = [
     "QueryRequest",
     "QueryResult",
     "RequestStatus",
-    "SubscribeRequest",
     "UpdateRequest",
     "bin_vector_name",
     "bitslice_vector_name",
@@ -45,14 +50,24 @@ class RequestStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One bulk-bitwise query from one tenant."""
+    """One bulk-bitwise query from one tenant.
+
+    ``kind="subscribe"`` registers the query as a standing query
+    instead: once admitted (subscription fan-out is metered per tenant)
+    its first evaluation rides a normal coalesced batch, after which
+    every batched update touching its input vectors re-evaluates it in
+    the same dispatch and pushes a :class:`DeltaNotification` through
+    the event loop.
+    """
 
     request_id: int
     tenant: str
     op: str  # "or" / "and" / "xor" / "inv"
     vectors: Tuple[str, ...]  # named bit-vectors of the tenant's dataset
     arrival_s: float  # open-loop arrival time on the simulated clock
-    kind: str = "bitwise"  # "bitwise" | "range" (stats breakdown only)
+    #: "bitwise" | "range" (a lowered FastBit predicate; scatter-eligible
+    #: on a cluster) | "subscribe" (a standing query)
+    kind: str = "bitwise"
 
     def __post_init__(self) -> None:
         op = PimOp.parse(self.op).value
@@ -136,6 +151,19 @@ def spec_vector_names(spec) -> List[str]:
     return []
 
 
+@lru_cache(maxsize=4096)
+def _read_set(shape: tuple) -> Tuple[str, ...]:
+    """Every vector the specs of ``shape`` read, in first-use order.
+
+    Memoized on the specs with each cmp constant dropped (it names no
+    vector), so the analytics requests of a stream share one tuple per
+    distinct read set instead of holding one each.
+    """
+    return tuple(dict.fromkeys(
+        name for spec in shape for name in spec_vector_names(spec)
+    ))
+
+
 _AGGREGATES = ("count", "sum", "hist")
 
 
@@ -164,14 +192,18 @@ class AnalyticsRequest:
     aggregate: tuple
     arrival_s: float
     kind: str = "analytics"
+    #: every resident vector the query reads, in first-use order
+    #: (validation surface and scratch width); derived from ``filters``
+    #: and ``aggregate`` here, so ``dataclasses.replace`` re-derives it
+    vectors: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tenant:
             raise ValueError("analytics request needs a tenant")
-        object.__setattr__(
-            self, "filters", tuple(tuple(f) for f in self.filters)
-        )
-        object.__setattr__(self, "aggregate", tuple(self.aggregate))
+        filters = tuple(tuple(f) for f in self.filters)
+        aggregate = tuple(self.aggregate)
+        object.__setattr__(self, "filters", filters)
+        object.__setattr__(self, "aggregate", aggregate)
         for pred in self.filters:
             if not pred or pred[0] not in ("cmp", "range"):
                 raise ValueError(f"malformed predicate {pred!r}")
@@ -214,20 +246,15 @@ class AnalyticsRequest:
             )
         if self.arrival_s < 0:
             raise ValueError("arrival_s must be non-negative")
+        object.__setattr__(self, "vectors", _read_set(tuple(
+            pred[:3] + pred[4:] if pred[0] == "cmp" else pred
+            for pred in filters
+        ) + (aggregate,)))
 
     # QueryResult.to_dict / admission duck-typing
     @property
     def op(self) -> str:
         return "analyze"
-
-    @property
-    def vectors(self) -> Tuple[str, ...]:
-        """Every resident vector the query reads (validation surface)."""
-        return tuple(dict.fromkeys(
-            name
-            for spec in (*self.filters, self.aggregate)
-            for name in spec_vector_names(spec)
-        ))
 
     @property
     def fanin(self) -> int:
@@ -277,40 +304,6 @@ class UpdateRequest:
         return (self.vector,)
 
 
-@dataclass(frozen=True)
-class SubscribeRequest:
-    """Registration of one standing query for a tenant.
-
-    Validated like a :class:`QueryRequest`; once admitted (subscription
-    fan-out is metered per tenant) its first evaluation rides a normal
-    coalesced batch, after which every batched update touching its
-    input vectors re-evaluates it in the same dispatch and pushes a
-    :class:`DeltaNotification` through the event loop.
-    """
-
-    request_id: int
-    tenant: str
-    op: str
-    vectors: Tuple[str, ...]
-    arrival_s: float
-    kind: str = "subscribe"
-
-    def __post_init__(self) -> None:
-        op = PimOp.parse(self.op).value
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        if not self.tenant:
-            raise ValueError("subscription needs a tenant")
-        if not self.vectors:
-            raise ValueError("subscription needs at least one vector")
-        if op == "inv" and len(self.vectors) != 1:
-            raise ValueError("inv takes exactly one vector")
-        if op != "inv" and len(self.vectors) < 2:
-            raise ValueError(f"{op} needs at least two vectors")
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
-
-
 @dataclass
 class DeltaNotification:
     """One pushed re-evaluation of a standing query.
@@ -320,7 +313,7 @@ class DeltaNotification:
     not the whole bitmap.
     """
 
-    subscription_id: int  # the SubscribeRequest's request_id
+    subscription_id: int  # the subscribe request's request_id
     tenant: str
     seq: int  # per-subscription sequence number (0 = initial snapshot)
     emitted_s: float  # completion time on the simulated clock

@@ -32,13 +32,16 @@ execution; simulated pricing is identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Sequence, Tuple
 
 from repro import telemetry
 from repro.service.engine import ExecutedCall, ServiceEngine
 from repro.service.request import QueryRequest
 
-__all__ = ["BatchPricing", "CoalescingScheduler", "SchedulerConfig"]
+if TYPE_CHECKING:
+    from repro.service.service import ServiceConfig
+
+__all__ = ["BatchPricing", "CoalescingScheduler"]
 
 #: stays 0 now that content folding is gone; benchmarks/e2e --trace reads it
 telemetry.counter("service.scheduler.cse_folds")
@@ -54,24 +57,6 @@ _BATCH_SIZE = telemetry.gauge("service.scheduler.batch_size")
 _ANALYTICS_CALLS = telemetry.counter("service.scheduler.analytics_calls")
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Dispatch policy knobs."""
-
-    #: requests coalesced into one command-stream dispatch (1 = the
-    #: no-batching baseline configuration)
-    max_batch: int = 16
-    #: per-dispatch issue cost: driver scheduling + mode-register
-    #: programming + command-stream setup, paid once per batch (s)
-    dispatch_overhead_s: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.dispatch_overhead_s < 0:
-            raise ValueError("dispatch_overhead_s must be non-negative")
-
-
 @dataclass
 class BatchPricing:
     """Simulated timing of one dispatched batch."""
@@ -85,9 +70,14 @@ class BatchPricing:
 
 
 class CoalescingScheduler:
-    """Drains tenant queues into shard-priced command-stream batches."""
+    """Drains tenant queues into shard-priced command-stream batches.
 
-    def __init__(self, config: SchedulerConfig, engine: ServiceEngine):
+    Reads its policy off the service's config: ``max_batch`` requests
+    coalesce into one command-stream dispatch, which pays one
+    ``dispatch_overhead_s``.
+    """
+
+    def __init__(self, config: "ServiceConfig", engine: ServiceEngine):
         self.config = config
         self.engine = engine
         self._rr_offset = 0  # rotating round-robin start position
@@ -170,14 +160,12 @@ class CoalescingScheduler:
         batch = self.collect(queues)
         if not batch:
             return [], [], BatchPricing([], 0.0, 0.0)
-        updates = [r for r in batch if getattr(r, "kind", "") == "update"]
-        reads = [r for r in batch if getattr(r, "kind", "") != "update"]
+        updates = [r for r in batch if r.kind == "update"]
+        reads = [r for r in batch if r.kind != "update"]
         batch = updates + reads
         _DISPATCHES.add()
         _BATCH_SIZE.set(len(batch))
-        n_analytics = sum(
-            1 for r in reads if getattr(r, "kind", "") == "analytics"
-        )
+        n_analytics = sum(1 for r in reads if r.kind == "analytics")
         if n_analytics:
             _ANALYTICS_CALLS.add(n_analytics)
         executed = [
@@ -185,13 +173,11 @@ class CoalescingScheduler:
             for r in updates
         ]
         if reads:
-            executed += self.engine.execute(
-                [request_call(request) for request in reads]
-            )
+            executed += self.engine.execute(reads)
         return batch, executed, self.price(batch, executed)
 
-    def execute_calls(self, calls: List) -> List[ExecutedCall]:
-        """Execute extra calls riding the current dispatch.
+    def execute_calls(self, requests: List[QueryRequest]) -> List[ExecutedCall]:
+        """Execute extra reads riding the current dispatch.
 
         The service uses this for standing-query refreshes triggered by
         the batch's updates: they are priced by the caller *together
@@ -199,26 +185,7 @@ class CoalescingScheduler:
         shares the dispatch overhead and serialises on its tenant's
         shard like any batched read.
         """
-        if not calls:
+        if not requests:
             return []
-        return self.engine.execute(list(calls))
+        return self.engine.execute(requests)
 
-
-def request_call(request: QueryRequest):
-    """Lower a request to the engine's call vocabulary.
-
-    Analytics requests carry their ``(filters, aggregate)`` spec so the
-    engine runs the arithmetic kernel sequence; the names list is the
-    full set of vectors the query reads (admission fan-in, validation).
-    """
-    from repro.service.engine import ServiceCall
-
-    analytics = None
-    if getattr(request, "kind", "") == "analytics":
-        analytics = (request.filters, request.aggregate)
-    return ServiceCall(
-        tenant=request.tenant,
-        op=request.op,
-        names=request.vectors,
-        analytics=analytics,
-    )

@@ -48,16 +48,10 @@ from repro.service.request import (
     QueryRequest,
     QueryResult,
     RequestStatus,
-    SubscribeRequest,
-    UpdateRequest,
     bin_vector_name,
     bitslice_vector_name,
 )
-from repro.service.scheduler import (
-    CoalescingScheduler,
-    SchedulerConfig,
-    request_call,
-)
+from repro.service.scheduler import CoalescingScheduler
 from repro.service.stats import ServiceStats
 
 __all__ = ["BitmapQueryService", "ServiceConfig", "StandingQuery", "check_results"]
@@ -86,7 +80,7 @@ class StandingQuery:
     ``changed_bits``.
     """
 
-    request: SubscribeRequest
+    request: QueryRequest  # kind == "subscribe"
     active: bool = False
     seq: int = 0
     popcount: int = 0
@@ -149,13 +143,7 @@ class BitmapQueryService:
             Callable[[DeltaNotification], None]
         ] = None
         self.admission = AdmissionController()
-        self.scheduler = CoalescingScheduler(
-            SchedulerConfig(
-                max_batch=self.config.max_batch,
-                dispatch_overhead_s=self.config.dispatch_overhead_s,
-            ),
-            self.engine,
-        )
+        self.scheduler = CoalescingScheduler(self.config, self.engine)
         self.stats = ServiceStats()
         self.results: List[QueryResult] = []
         self.notifications: List[DeltaNotification] = []
@@ -274,9 +262,12 @@ class BitmapQueryService:
     def submit_request(self, request) -> None:
         """Validate a request and schedule its arrival on the clock.
 
-        Accepts all three request types -- :class:`QueryRequest`,
-        :class:`UpdateRequest`, :class:`SubscribeRequest` -- which share
-        one admission pipeline and ride the same coalesced batches.
+        Accepts every request record -- a :class:`QueryRequest` (a read,
+        or a standing query when ``kind == "subscribe"``), an
+        :class:`AnalyticsRequest` and an :class:`UpdateRequest` -- which
+        share one admission pipeline and ride the same coalesced
+        batches.  The record itself is what the scheduler queues and the
+        engine executes.
         Validation errors (unknown tenant/vector, op the backend cannot
         serve, size-mismatched update payload) raise immediately -- they
         are caller bugs, not load; the admission pipeline only ever sees
@@ -299,16 +290,11 @@ class BitmapQueryService:
                     f"update size {request.bits.size} != loaded size "
                     f"{loaded.size} for {request.vector!r}"
                 )
-        elif request.kind == "analytics":
-            # "analyze" is a kernel sequence, not a backend op: skip
-            # check_op, but every referenced plane/bin must be loaded
-            for name in request.vectors:
-                if not self.engine.has_vector(request.tenant, name):
-                    raise KeyError(
-                        f"tenant {request.tenant!r} has no vector {name!r}"
-                    )
         else:
-            self.engine.check_op(request.op)
+            # "analyze" is a kernel sequence, not a backend op: it skips
+            # check_op, but every referenced plane/bin must be loaded
+            if request.kind != "analytics":
+                self.engine.check_op(request.op)
             for name in request.vectors:
                 if not self.engine.has_vector(request.tenant, name):
                     raise KeyError(
@@ -412,12 +398,11 @@ class BitmapQueryService:
                     if ids:
                         affected.append(sq)
                         triggers.append(ids)
-            refresh_calls = [request_call(sq.request) for sq in affected]
-            refreshed = self.scheduler.execute_calls(refresh_calls)
+            refreshes = [sq.request for sq in affected]
+            refreshed = self.scheduler.execute_calls(refreshes)
             if refreshed:
                 pricing = self.scheduler.price(
-                    list(batch) + refresh_calls,
-                    list(executed) + refreshed,
+                    batch + refreshes, executed + refreshed
                 )
             self._busy = True
             self._batch_id += 1

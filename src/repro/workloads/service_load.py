@@ -41,7 +41,6 @@ from repro.service.engine import ServiceEngine
 from repro.service.request import (
     AnalyticsRequest,
     QueryRequest,
-    SubscribeRequest,
     UpdateRequest,
 )
 from repro.service.service import BitmapQueryService, ServiceConfig
@@ -298,7 +297,7 @@ def _convert_writes(spec, requests):
     return out
 
 
-def _subscriptions(spec) -> List[SubscribeRequest]:
+def _subscriptions(spec) -> List[QueryRequest]:
     """Per-tenant standing queries, registered ahead of the stream.
 
     Ids live above the stream's ``0..n_requests-1`` range; arrivals are
@@ -307,7 +306,7 @@ def _subscriptions(spec) -> List[SubscribeRequest]:
     if spec.subscriptions_per_tenant == 0:
         return []
     rng = np.random.default_rng((spec.seed, 0x50B5))
-    subs: List[SubscribeRequest] = []
+    subs: List[QueryRequest] = []
     next_id = spec.n_requests
     for tenant in spec.tenant_names:
         for _ in range(spec.subscriptions_per_tenant):
@@ -317,7 +316,9 @@ def _subscriptions(spec) -> List[SubscribeRequest]:
             )
             names = tuple(f"v{int(v)}" for v in chosen)
             op = str(rng.choice(["or", "and", "xor"]))
-            subs.append(SubscribeRequest(next_id, tenant, op, names, 0.0))
+            subs.append(
+                QueryRequest(next_id, tenant, op, names, 0.0, kind="subscribe")
+            )
             next_id += 1
     return subs
 

@@ -18,8 +18,13 @@ import pytest
 
 from repro.apps.analytics import AnalyticsTable
 from repro.runtime.api import PimRuntime
-from repro.service.engine import ResidentPimEngine, ServiceCall
-from repro.service.request import AnalyticsRequest, bin_vector_name, bitslice_vector_name
+from repro.service.engine import ResidentPimEngine
+from repro.service.request import (
+    AnalyticsRequest,
+    QueryRequest,
+    bin_vector_name,
+    bitslice_vector_name,
+)
 from repro.service.service import ServiceConfig
 
 N = 300
@@ -60,6 +65,16 @@ def _assert_same_machine_state(rt_c, rt_i):
     assert rt_c.driver.stats.instructions == rt_i.driver.stats.instructions
     assert rt_c.total_energy() == pytest.approx(rt_i.total_energy(), rel=REL)
     assert rt_c.total_latency() == pytest.approx(rt_i.total_latency(), rel=REL)
+    # every channel's bus ledger: counts exactly, float sums to 1e-9
+    # (their summation order differs between the two paths)
+    buses_c = ex_c.controller.buses
+    buses_i = ex_i.controller.buses
+    assert len(buses_c) == len(buses_i)
+    for ch, (bc, bi) in enumerate(zip(buses_c, buses_i)):
+        sc, si = bc.stats, bi.stats
+        assert (sc.commands, sc.data_bytes) == (si.commands, si.data_bytes), ch
+        assert sc.busy_time == pytest.approx(si.busy_time, rel=REL), ch
+        assert sc.energy == pytest.approx(si.energy, rel=REL), ch
 
 
 @pytest.mark.parametrize("seed", [3, 17, 40])
@@ -140,10 +155,6 @@ def test_engine_records_price_like_interpretation(seed):
             eng.load_vector("t", name, (data["region"] == b).astype(np.uint8))
         return eng
 
-    def analyze(filters, aggregate):
-        req = AnalyticsRequest(0, "t", filters, aggregate, 0.0)
-        return ServiceCall("t", req.op, req.vectors, analytics=(req.filters, req.aggregate))
-
     compiled, interpreted = engine(True), engine(False)
     sightings = _Sightings(compiled.analytics_compiler)
     rng = np.random.default_rng(seed)
@@ -160,7 +171,7 @@ def test_engine_records_price_like_interpretation(seed):
             if rng.random() < 0.25:
                 op = str(rng.choice(["xor", "and", "or"]))
                 lo = int(rng.integers(0, 4))
-                calls.append(ServiceCall("t", op, region[lo : lo + 2]))
+                calls.append(QueryRequest(0, "t", op, region[lo : lo + 2], 0.0))
                 continue
             filters = [("cmp", "age", str(rng.choice(["le", "gt"])),
                         int(rng.choice([12, 33])), 6)]
@@ -169,7 +180,7 @@ def test_engine_records_price_like_interpretation(seed):
             aggregate = [("count",), ("sum", "age", 6), ("hist", "region", 6)][
                 int(rng.integers(0, 3))
             ]
-            calls.append(analyze(filters, aggregate))
+            calls.append(AnalyticsRequest(0, "t", filters, aggregate, 0.0))
         got = sightings.around(lambda: compiled.execute(calls))
         want = interpreted.execute(calls)
         for c, i in zip(got, want):

@@ -318,8 +318,8 @@ class TestAnalyticsPrograms:
         ``compile=False`` engine charges, with equal planner tallies --
         cache serves keep the interpreter's wave order."""
         from repro.runtime.api import PimRuntime
-        from repro.service.engine import ResidentPimEngine, ServiceCall
-        from repro.service.request import bin_vector_name
+        from repro.service.engine import ResidentPimEngine
+        from repro.service.request import QueryRequest, bin_vector_name
         from repro.service.service import ServiceConfig
 
         config = ServiceConfig().system
@@ -345,11 +345,11 @@ class TestAnalyticsPrograms:
                 if rng.random() < 0.5:
                     filters = (("cmp", "age", "ge", int(rng.integers(1, 63)), 6),
                                ("range", "region", lo, lo + 2))
-                    calls.append(ServiceCall(
-                        "t", "and", age + region, analytics=(filters, ("count",))
-                    ))
+                    calls.append(
+                        AnalyticsRequest(0, "t", filters, ("count",), 0.0)
+                    )
                 else:
-                    calls.append(ServiceCall("t", "or", region[lo:lo + 2]))
+                    calls.append(QueryRequest(0, "t", "or", region[lo:lo + 2], 0.0))
             return calls
 
         compiled, interpreted = engine(True), engine(False)

@@ -9,7 +9,6 @@ from repro.service import (
     BitmapQueryService,
     QueryRequest,
     ServiceClient,
-    SubscribeRequest,
     SubscriptionHandle,
     UpdateRequest,
 )
@@ -64,8 +63,8 @@ class TestVerbEquivalence:
     def test_subscribe_builds_the_legacy_request(self):
         client = loaded_client()
         handle = client.subscribe("t", "xor", ("v0", "v1"), at=0.0, request_id=2)
-        assert handle.request == SubscribeRequest(
-            2, "t", "xor", ("v0", "v1"), 0.0
+        assert handle.request == QueryRequest(
+            2, "t", "xor", ("v0", "v1"), 0.0, kind="subscribe"
         )
 
     def test_facade_run_equals_legacy_submit_run(self):

@@ -12,7 +12,8 @@ accounting and the per-channel bus ledgers must stay bit-identical.
 
 import numpy as np
 
-from repro.service.engine import ExecutedCall, ResidentPimEngine, ServiceCall
+from repro.service.engine import ExecutedCall, ResidentPimEngine
+from repro.service.request import QueryRequest
 from repro.service.service import ServiceConfig
 from tests.core.test_row_io_templates import reference_read
 
@@ -20,18 +21,18 @@ from tests.core.test_row_io_templates import reference_read
 class _PerRequestReadEngine(ResidentPimEngine):
     """The engine with its earlier read-back: read, then free, per request."""
 
-    def execute(self, calls):
+    def execute(self, requests):
         rt = self.runtime
-        out = [None] * len(calls)
-        slots, staged, requests = [], [], []
-        for i, call in enumerate(calls):
-            sources = [self._handles[(call.tenant, n)] for n in call.names]
+        out = [None] * len(requests)
+        slots, staged, ops = [], [], []
+        for i, request in enumerate(requests):
+            sources = [self._handles[(request.tenant, n)] for n in request.vectors]
             n_bits = min(h.n_bits for h in sources)
-            dest = rt.pim_malloc(n_bits, self.group_of(call.tenant))
-            requests.append((call.op, dest, sources, n_bits))
+            dest = rt.pim_malloc(n_bits, self.group_of(request.tenant))
+            ops.append((request.op, dest, sources, n_bits))
             staged.append((dest, n_bits))
             slots.append(i)
-        results = rt.pim_op_many(requests) if requests else []
+        results = rt.pim_op_many(ops) if ops else []
         for i, (dest, n_bits), result in zip(slots, staged, results):
             bits, acct = reference_read(rt.system.executor, dest.frames, n_bits)
             rt.host_accounting = rt.host_accounting.merged(acct)
@@ -42,7 +43,6 @@ class _PerRequestReadEngine(ResidentPimEngine):
                 latency_s=result.latency * self.config.timing_scale,
                 energy_j=result.energy * self.config.energy_scale,
                 steps=result.steps,
-                in_memory=result.steps > 0,
             )
         return out
 
@@ -81,7 +81,9 @@ def test_dispatch_read_back_is_bit_identical_to_per_request_reads():
             op = ("or", "and", "xor", "inv")[int(rng.integers(4))]
             k = 1 if op == "inv" else int(rng.integers(2, 5))
             picked = rng.choice(len(names), size=k, replace=False)
-            calls.append(ServiceCall(tenant, op, tuple(names[j] for j in picked)))
+            calls.append(
+                QueryRequest(0, tenant, op, tuple(names[j] for j in picked), 0.0)
+            )
         for want, got in zip(ref.execute(calls), new.execute(calls)):
             np.testing.assert_array_equal(got.bits, want.bits)
             assert (got.popcount, got.latency_s, got.energy_j, got.steps) == (

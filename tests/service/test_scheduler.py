@@ -6,7 +6,8 @@ import pytest
 
 from repro.service.engine import ExecutedCall, ServiceEngine
 from repro.service.request import QueryRequest
-from repro.service.scheduler import CoalescingScheduler, SchedulerConfig
+from repro.service.scheduler import CoalescingScheduler
+from repro.service.service import ServiceConfig
 
 
 class FakeEngine(ServiceEngine):
@@ -23,7 +24,7 @@ class FakeEngine(ServiceEngine):
     def shard_of(self, tenant):
         return self._shard_map[tenant]
 
-    def execute(self, calls):
+    def execute(self, requests):
         return [
             ExecutedCall(
                 bits=None,
@@ -31,9 +32,8 @@ class FakeEngine(ServiceEngine):
                 latency_s=self.latency_s,
                 energy_j=1e-9,
                 steps=1,
-                in_memory=True,
             )
-            for _ in calls
+            for _ in requests
         ]
 
 
@@ -48,7 +48,7 @@ def queues_of(*tenant_requests):
 class TestCollect:
     def test_round_robin_across_tenants(self):
         sched = CoalescingScheduler(
-            SchedulerConfig(max_batch=4), FakeEngine({"a": 0, "b": 1})
+            ServiceConfig(max_batch=4), FakeEngine({"a": 0, "b": 1})
         )
         queues = queues_of(
             ("a", [req(1, "a"), req(2, "a")]),
@@ -59,7 +59,7 @@ class TestCollect:
 
     def test_respects_max_batch(self):
         sched = CoalescingScheduler(
-            SchedulerConfig(max_batch=3), FakeEngine({"a": 0})
+            ServiceConfig(max_batch=3), FakeEngine({"a": 0})
         )
         queues = queues_of(("a", [req(i, "a") for i in range(10)]))
         batch = sched.collect(queues)
@@ -68,7 +68,7 @@ class TestCollect:
 
     def test_rotating_start_prevents_permanent_priority(self):
         sched = CoalescingScheduler(
-            SchedulerConfig(max_batch=1), FakeEngine({"a": 0, "b": 1})
+            ServiceConfig(max_batch=1), FakeEngine({"a": 0, "b": 1})
         )
         firsts = []
         for _ in range(4):
@@ -77,7 +77,7 @@ class TestCollect:
         assert set(firsts) == {"a", "b"}
 
     def test_empty_queues_give_empty_batch(self):
-        sched = CoalescingScheduler(SchedulerConfig(), FakeEngine({}))
+        sched = CoalescingScheduler(ServiceConfig(), FakeEngine({}))
         assert sched.collect({}) == []
         assert sched.collect(queues_of(("a", []))) == []
 
@@ -86,7 +86,7 @@ class TestPricing:
     def test_same_shard_serialises(self):
         engine = FakeEngine({"a": 0, "b": 0}, latency_s=1e-6)
         sched = CoalescingScheduler(
-            SchedulerConfig(dispatch_overhead_s=1e-7), engine
+            ServiceConfig(dispatch_overhead_s=1e-7), engine
         )
         batch = [req(1, "a"), req(2, "b")]
         pricing = sched.price(batch, engine.execute(batch))
@@ -97,7 +97,7 @@ class TestPricing:
     def test_different_shards_overlap(self):
         engine = FakeEngine({"a": 0, "b": 1}, latency_s=1e-6)
         sched = CoalescingScheduler(
-            SchedulerConfig(dispatch_overhead_s=1e-7), engine
+            ServiceConfig(dispatch_overhead_s=1e-7), engine
         )
         batch = [req(1, "a"), req(2, "b")]
         pricing = sched.price(batch, engine.execute(batch))
@@ -107,7 +107,7 @@ class TestPricing:
 
     def test_energy_adds_across_shards(self):
         engine = FakeEngine({"a": 0, "b": 1})
-        sched = CoalescingScheduler(SchedulerConfig(), engine)
+        sched = CoalescingScheduler(ServiceConfig(), engine)
         batch = [req(1, "a"), req(2, "b")]
         pricing = sched.price(batch, engine.execute(batch))
         assert pricing.energy_j == pytest.approx(2e-9)
@@ -115,7 +115,7 @@ class TestPricing:
     def test_overhead_paid_once_per_batch(self):
         engine = FakeEngine({"a": 0}, latency_s=1e-6)
         sched = CoalescingScheduler(
-            SchedulerConfig(dispatch_overhead_s=5e-6), engine
+            ServiceConfig(dispatch_overhead_s=5e-6), engine
         )
         batch = [req(i, "a") for i in range(3)]
         pricing = sched.price(batch, engine.execute(batch))
@@ -125,7 +125,7 @@ class TestPricing:
 class TestDispatch:
     def test_dispatch_returns_consistent_triple(self):
         engine = FakeEngine({"a": 0, "b": 1})
-        sched = CoalescingScheduler(SchedulerConfig(max_batch=8), engine)
+        sched = CoalescingScheduler(ServiceConfig(max_batch=8), engine)
         queues = queues_of(
             ("a", [req(1, "a")]),
             ("b", [req(2, "b")]),
@@ -135,7 +135,7 @@ class TestDispatch:
         assert all(len(q) == 0 for q in queues.values())
 
     def test_empty_dispatch_is_noop(self):
-        sched = CoalescingScheduler(SchedulerConfig(), FakeEngine({}))
+        sched = CoalescingScheduler(ServiceConfig(), FakeEngine({}))
         batch, executed, pricing = sched.dispatch({})
         assert batch == [] and executed == []
         assert pricing.makespan_s == 0.0

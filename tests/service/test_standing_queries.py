@@ -18,7 +18,6 @@ from repro.service import (
     QueryRequest,
     RequestStatus,
     ServiceConfig,
-    SubscribeRequest,
     TenantQuota,
     UpdateRequest,
 )
@@ -114,7 +113,9 @@ class TestStandingQueries:
     def test_snapshot_then_update_notifications(self):
         svc = make_service()
         v = load_basic(svc)
-        svc.submit_request(SubscribeRequest(10, "t", "xor", ("a", "b"), 0.0))
+        svc.submit_request(
+            QueryRequest(10, "t", "xor", ("a", "b"), 0.0, kind="subscribe")
+        )
         new_a = np.random.default_rng(3).integers(
             0, 2, N_BITS, dtype=np.uint8
         )
@@ -141,7 +142,9 @@ class TestStandingQueries:
     def test_unrelated_update_does_not_notify(self):
         svc = make_service()
         load_basic(svc)
-        svc.submit_request(SubscribeRequest(10, "t", "xor", ("a", "b"), 0.0))
+        svc.submit_request(
+            QueryRequest(10, "t", "xor", ("a", "b"), 0.0, kind="subscribe")
+        )
         new_c = np.random.default_rng(4).integers(
             0, 2, N_BITS, dtype=np.uint8
         )
@@ -154,8 +157,12 @@ class TestStandingQueries:
     def test_fanout_bound_rejects_excess_subscriptions(self):
         svc = make_service(default_quota=TenantQuota(max_subscriptions=1))
         load_basic(svc)
-        svc.submit_request(SubscribeRequest(1, "t", "or", ("a", "b"), 0.0))
-        svc.submit_request(SubscribeRequest(2, "t", "and", ("b", "c"), 0.0))
+        svc.submit_request(
+            QueryRequest(1, "t", "or", ("a", "b"), 0.0, kind="subscribe")
+        )
+        svc.submit_request(
+            QueryRequest(2, "t", "and", ("b", "c"), 0.0, kind="subscribe")
+        )
         stats = svc.run()
         assert stats.subscriptions == 1
         rejected = [
@@ -220,12 +227,12 @@ class TestMixedLoadDeterminism:
         subs_only = dataclasses.replace(MIXED_SPEC, write_ratio=0.0)
         first = generate_requests(subs_only)
         second = generate_requests(subs_only)
-        subs = [r for r in first if isinstance(r, SubscribeRequest)]
+        subs = [r for r in first if r.kind == "subscribe"]
         assert len(subs) == (
             subs_only.n_tenants * subs_only.subscriptions_per_tenant
         )
         for s0, s1 in zip(first, second):
-            if isinstance(s0, SubscribeRequest):
+            if s0.kind == "subscribe":
                 assert (s0.op, s0.vectors, s0.tenant) == (
                     s1.op,
                     s1.vectors,
